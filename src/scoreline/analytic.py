@@ -25,7 +25,6 @@ from .rulekit import (
     ScoringRule,
     canonicalize,
     cox_threshold,
-    is_borda_equivalent,
     plateaus,
     shape_profile,
 )

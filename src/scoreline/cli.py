@@ -44,16 +44,12 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _interval_doc(iv: analytic.Interval | None):
     if iv is None:
         return None
     return {
-        "lower": _frac(iv.lower),
-        "upper": _frac(iv.upper),
+        "lower": str(iv.lower),
+        "upper": str(iv.upper),
         "lower_closed": iv.lower_closed,
         "upper_closed": iv.upper_closed,
         "empty": iv.is_empty,
@@ -62,13 +58,13 @@ def _interval_doc(iv: analytic.Interval | None):
 
 def _profile_doc(profile: Profile):
     return [
-        {"position": _frac(c.position), "count": c.count} for c in profile.clusters
+        {"position": str(c.position), "count": c.count} for c in profile.clusters
     ]
 
 
 def _target_doc(target) -> dict:
     if isinstance(target, FreePoint):
-        return {"kind": "free-point", "point": _frac(target.point)}
+        return {"kind": "free-point", "point": str(target.point)}
     kind = {
         AtCluster: "join-cluster",
         LeftLimit: "left-limit",
@@ -85,7 +81,7 @@ def _verdict_doc(v: analytic.Verdict):
         doc["interval"] = _interval_doc(v.interval)
     if v.details:
         doc["details"] = {
-            k: _frac(val) if isinstance(val, Fraction) else val
+            k: str(val) if isinstance(val, Fraction) else val
             for k, val in v.details.items()
         }
     return doc
@@ -94,14 +90,14 @@ def _verdict_doc(v: analytic.Verdict):
 def _report_doc(report: verify.EquilibriumReport):
     return {
         "status": report.status.value,
-        "cluster_scores": [_frac(s) for s in report.cluster_scores],
+        "cluster_scores": [str(s) for s in report.cluster_scores],
         "violations": len(report.violations),
         "ledger": [
             {
                 "mover_cluster": e.mover,
                 "target": _target_doc(e.target),
-                "score": _frac(e.score),
-                "slack": _frac(e.slack),
+                "score": str(e.score),
+                "slack": str(e.slack),
             }
             for e in report.ledger
         ],
@@ -111,7 +107,7 @@ def _report_doc(report: verify.EquilibriumReport):
 def _rule_doc(raw: str, rule: ScoringRule):
     return {
         "input": raw,
-        "canonical": [_frac(s) for s in canonicalize(rule).scores],
+        "canonical": [str(s) for s in canonicalize(rule).scores],
         "m": rule.m,
     }
 
@@ -184,7 +180,7 @@ def _search_result_doc(result: search.SearchResult):
                 "pruned": o.pruned,
                 "prune_reasons": list(o.prune_reasons),
                 "lp_status": o.lp_outcome.status.value if o.lp_outcome else None,
-                "gap": _frac(o.gap) if o.gap is not None else None,
+                "gap": str(o.gap) if o.gap is not None else None,
                 "witness": _profile_doc(o.witness) if o.witness else None,
                 "is_equilibrium": o.is_equilibrium,
             }
@@ -206,7 +202,7 @@ def _search_csv(result: search.SearchResult) -> str:
                 o.pruned,
                 ";".join(o.prune_reasons),
                 o.lp_outcome.status.value if o.lp_outcome else "",
-                _frac(o.gap) if o.gap is not None else "",
+                str(o.gap) if o.gap is not None else "",
                 str(o.witness) if o.witness else "",
                 o.is_equilibrium,
             ]
@@ -224,7 +220,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
         _rule_doc(args.rule, rule),
         {
             "class": rc.category.value,
-            "threshold": _frac(rc.threshold),
+            "threshold": str(rc.threshold),
             "shape": {
                 "convex": shape.convex,
                 "concave": shape.concave,
@@ -254,7 +250,7 @@ def _cmd_bounds(args) -> tuple[int, dict]:
         "bounds",
         _rule_doc(args.rule, rule),
         {
-            "max_gap": _frac(b.max_gap),
+            "max_gap": str(b.max_gap),
             "min_positions": b.min_positions,
             "forbidden_center": _interval_doc(b.forbidden_center),
             "verdicts": [_verdict_doc(v) for v in analytic.impossibility_verdicts(rule)],
@@ -282,7 +278,7 @@ def _cmd_find_ncne(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     rule = parse_rule(args.rule)
     profile = _parse_profile(args.profile, rule)
-    if args.grid:
+    if args.grid is not None:
         report = verify.grid_cross_check(rule, profile, args.grid)
     else:
         report = verify.verify_profile(rule, profile)
@@ -338,19 +334,22 @@ def _cmd_multipositional(args) -> tuple[int, dict]:
 def _cmd_scan(args) -> tuple[int, dict]:
     rows = []
     with open(args.rules_file, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            rule = parse_rule(text)
+            try:
+                rule = parse_rule(text)
+            except ScorelineError as exc:
+                raise ScorelineError(f"{args.rules_file}:{lineno}: {exc}") from exc
             rc = classify(rule)
             result = search.find_ncne(rule, search.SearchOptions(jobs=args.jobs))
             rows.append(
                 {
                     "rule": text,
-                    "canonical": [_frac(s) for s in canonicalize(rule).scores],
+                    "canonical": [str(s) for s in canonicalize(rule).scores],
                     "class": rc.category.value,
-                    "threshold": _frac(rc.threshold),
+                    "threshold": str(rc.threshold),
                     "cne_interval": _interval_doc(result.cne),
                     "ncne_types": [list(t.parts) for t in result.ncne_types],
                     "verdicts": [
@@ -389,9 +388,16 @@ def _parse_profile(text: str, rule: ScoringRule) -> Profile:
         try:
             pos_text, count_text = chunk.split("*")
             entries.append((Fraction(pos_text.strip()), int(count_text)))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ScorelineError(f"bad profile entry {chunk!r}") from exc
     return make_profile(entries, rule)
+
+
+def _resolution(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"grid resolution {value} is below 2")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,10 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, rule=True):
         if rule:
             p.add_argument("--rule", required=True, help="comma-separated scores, e.g. '1,0,0,0' or '1,2/5,0,0'")
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
-        p.add_argument("--csv", action="store_true", help="CSV output for tabular commands")
         p.add_argument("--svg", metavar="PATH", help="write a number-line diagram of the profile/witness")
-        p.add_argument("--seed", type=int, help="reserved; commands are deterministic")
         p.add_argument("--timing", action="store_true", help="add wall-clock timing (breaks byte-stability)")
 
     p = sub.add_parser("classify", help="rule class, threshold and score shape")
@@ -425,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-ncne", help="LP search over all cluster types")
     add_common(p)
+    p.add_argument("--csv", action="store_true", help="CSV output, one row per type")
     p.add_argument("--no-prune", action="store_true", help="solve every type, skipping the prune tests")
     p.add_argument("--include-cne", action="store_true", help="also solve the single-cluster type")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers over cluster types")
@@ -433,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify or refute a profile")
     add_common(p)
     p.add_argument("--profile", required=True, help="semicolon-separated position*count, e.g. '13/28*8;41/84*4'")
-    p.add_argument("--grid", type=int, metavar="N", help="additionally probe free points k/N")
+    p.add_argument("--grid", type=_resolution, metavar="N", help="additionally probe free points k/N, N >= 2")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("characterize", help="closed-form answer for 4-6 candidates")
@@ -452,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="batch-analyse a file of rules")
     add_common(p, rule=False)
+    p.add_argument("--csv", action="store_true", help="CSV output, one row per rule")
     p.add_argument("--rules-file", required=True, help="one rule per line, '#' comments allowed")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_scan)
@@ -473,7 +478,7 @@ def main(argv=None) -> int:
             return EXIT_INTERNAL
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if "csv" in document and len(document) == 1:

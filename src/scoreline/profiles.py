@@ -126,12 +126,6 @@ class Piece:
 class PiecewiseLinear:
     pieces: tuple[Piece, ...]
 
-    def piece_containing(self, t: Fraction) -> Piece:
-        for p in self.pieces:
-            if p.lo < t < p.hi:
-                return p
-        raise KeyError(f"{t} is not interior to any piece")
-
 
 def _as_fraction(value) -> Fraction:
     # Floats are read through their shortest decimal representation so that
@@ -167,76 +161,52 @@ def make_profile(entries, rule: ScoringRule) -> Profile:
     return Profile(clusters)
 
 
-def _block_mean(scores: tuple[Fraction, ...], first_rank: int, size: int) -> Fraction:
-    """Mean score over ranks first_rank .. first_rank+size-1 (1-based)."""
-    return sum(scores[first_rank - 1 : first_rank - 1 + size]) / size
+def _block_mean(scores: tuple[Fraction, ...], ahead: int, size: int) -> Fraction:
+    """Mean score of a block of ``size`` ranked behind ``ahead`` candidates."""
+    return sum(scores[ahead : ahead + size]) / size
 
 
-def _member_score(
-    scores: tuple[Fraction, ...], clusters: tuple[Cluster, ...], idx: int
-) -> Fraction:
-    """Score of one candidate in clusters[idx].
+def score_form(
+    scores: tuple[Fraction, ...], counts: list[int], idx: int
+) -> tuple[Fraction, list[Fraction]]:
+    """Score of one member of station ``idx`` as ``const + sum(w[i] * x_i)``.
 
-    Regions are delimited by the midpoints between clusters[idx] and every
-    other cluster, in position order.  Walking left to right, the set of
-    clusters nearer to the voter than clusters[idx] starts as all clusters
-    to its left and flips one cluster per midpoint crossed.
+    Stations are listed in position order with their counts; ``x_i`` is the
+    position of station i, and the result is ``(const, w)``.  Regions are
+    delimited by the midpoints between the home station and every other
+    station, crossed in index order; inside each region the home block sits
+    behind every nearer station.  Telescoping the region integral, each
+    midpoint (x_idx + x_k) / 2 adds half the drop in block mean across it to
+    both w[idx] and w[k], and the last block mean is the constant.
+
+    The walk compares indices, never positions, so two stations may share a
+    position.  That makes a one-sided limit a member score: the mover is
+    its own count-1 station at the target's position, listed just before
+    the target for the left approach or just after it for the right one.
+    The mover-target midpoint then reduces to the position itself, with the
+    mover ahead of the residents on its approach side and behind them on
+    the far side.
     """
-    home = clusters[idx]
-    others = [c for k, c in enumerate(clusters) if k != idx]
-    closer = sum(c.count for c in others if c.position < home.position)
-    total = ZERO
-    lo = ZERO
-    for nxt in others + [None]:
-        hi = ONE if nxt is None else (home.position + nxt.position) / 2
-        if hi > lo:
-            total += _block_mean(scores, closer + 1, home.count) * (hi - lo)
-        if nxt is not None:
-            closer += nxt.count if nxt.position > home.position else -nxt.count
-        lo = hi
-    return total
+    weights = [ZERO] * len(counts)
+    size = counts[idx]
+    closer = sum(counts[:idx])
+    mean = _block_mean(scores, closer, size)
+    for k, count in enumerate(counts):
+        if k == idx:
+            continue
+        closer += count if k > idx else -count
+        after = _block_mean(scores, closer, size)
+        half = (mean - after) / 2
+        weights[idx] += half
+        weights[k] += half
+        mean = after
+    return mean, weights
 
 
-def _limit_score(
-    scores: tuple[Fraction, ...],
-    clusters: tuple[Cluster, ...],
-    idx: int,
-    from_left: bool,
-) -> Fraction:
-    """Limit score of a lone mover approaching clusters[idx].
-
-    In the limit the mover sits at the cluster's position but is ranked
-    ahead of the residents by voters on its own side of the position and
-    behind all of them by voters on the far side; comparisons against every
-    other cluster are as from the position itself.
-    """
-    target = clusters[idx]
-    others = [c for k, c in enumerate(clusters) if k != idx]
-    closer = sum(c.count for c in others if c.position < target.position)
-    boundaries: list[tuple[Fraction, Cluster | None]] = []
-    for c in others:
-        if c.position < target.position:
-            boundaries.append(((target.position + c.position) / 2, c))
-    boundaries.append((target.position, None))
-    for c in others:
-        if c.position > target.position:
-            boundaries.append(((target.position + c.position) / 2, c))
-    boundaries.append((ONE, None))
-
-    total = ZERO
-    lo = ZERO
-    left_of_target = True
-    for boundary, crossing in boundaries:
-        if boundary > lo:
-            ahead = left_of_target if from_left else not left_of_target
-            rank = closer + 1 if ahead else closer + target.count + 1
-            total += scores[rank - 1] * (boundary - lo)
-        if crossing is None:
-            left_of_target = False
-        else:
-            closer += crossing.count if crossing.position > target.position else -crossing.count
-        lo = boundary
-    return total
+def _score_at(scores: tuple[Fraction, ...], clusters: tuple[Cluster, ...], idx: int) -> Fraction:
+    """Evaluate :func:`score_form` at the clusters' positions."""
+    const, weights = score_form(scores, [c.count for c in clusters], idx)
+    return const + sum(w * c.position for w, c in zip(weights, clusters))
 
 
 def _depart(profile: Profile, mover_cluster: int) -> tuple[Cluster, ...]:
@@ -271,7 +241,7 @@ def candidate_score(profile: Profile, rule: ScoringRule, cluster: int) -> Fracti
         raise CountMismatchError(f"profile has {profile.m} candidates, rule {rule.m}")
     if not 0 <= cluster < profile.q:
         raise InvalidTargetError(f"no cluster {cluster}")
-    return _member_score(rule.scores, profile.clusters, cluster)
+    return _score_at(rule.scores, profile.clusters, cluster)
 
 
 def deviation_score(
@@ -300,7 +270,7 @@ def deviation_score(
             raise InvalidTargetError(f"free point {t} is occupied")
         merged = tuple(sorted(post + (Cluster(t, 1),), key=lambda c: c.position))
         idx = next(k for k, c in enumerate(merged) if c.position == t)
-        return _member_score(rule.scores, merged, idx)
+        return _score_at(rule.scores, merged, idx)
 
     idx = _post_index(profile, mover_cluster, target.cluster)
     if isinstance(target, AtCluster):
@@ -308,16 +278,19 @@ def deviation_score(
             Cluster(c.position, c.count + 1) if k == idx else c
             for k, c in enumerate(post)
         )
-        return _member_score(rule.scores, joined, idx)
+        return _score_at(rule.scores, joined, idx)
     if isinstance(target, LeftLimit):
         if post[idx].position == ZERO:
             raise InvalidTargetError("no approach from the left of position 0")
-        return _limit_score(rule.scores, post, idx, from_left=True)
-    if isinstance(target, RightLimit):
+        slot = idx
+    elif isinstance(target, RightLimit):
         if post[idx].position == ONE:
             raise InvalidTargetError("no approach from the right of position 1")
-        return _limit_score(rule.scores, post, idx, from_left=False)
-    raise InvalidTargetError(f"unknown target {target!r}")
+        slot = idx + 1
+    else:
+        raise InvalidTargetError(f"unknown target {target!r}")
+    mover = (Cluster(post[idx].position, 1),)
+    return _score_at(rule.scores, post[:slot] + mover + post[slot:], slot)
 
 
 def score_pieces(

@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import verify as verify_mod
 from .analytic import Conclusion, Interval, cne_interval, flat_middle_analysis, prune_cluster_type
 from .errors import CompositionMismatchError, InternalVerificationError
 from .lpcore import LEQ, GEQ, LinearProgram, LpOutcome, LpStatus, solve
-from .profiles import Cluster, Profile
+from .profiles import Cluster, Profile, score_form
 from .rulekit import ScoringRule, canonicalize
 
 __all__ = [
@@ -109,113 +109,17 @@ def enumerate_cluster_types(
     return entries
 
 
-@dataclass(frozen=True)
-class _Aff:
-    """Affine form coeffs . x + const over the position variables."""
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-
-    def __add__(self, other: "_Aff") -> "_Aff":
-        return _Aff(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const + other.const,
-        )
-
-    def __sub__(self, other: "_Aff") -> "_Aff":
-        return _Aff(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const - other.const,
-        )
-
-    def scaled(self, k: Fraction) -> "_Aff":
-        return _Aff(tuple(k * a for a in self.coeffs), k * self.const)
-
-
-def _aff_const(q: int, value: Fraction) -> _Aff:
-    return _Aff((ZERO,) * q, value)
-
-
-def _aff_pos(q: int, var: int) -> _Aff:
-    return _Aff(tuple(ONE if j == var else ZERO for j in range(q)), ZERO)
-
-
-def _aff_mid(q: int, a: int, b: int) -> _Aff:
-    half = Fraction(1, 2)
-    return (_aff_pos(q, a) + _aff_pos(q, b)).scaled(half)
-
-
-@dataclass(frozen=True)
-class _Station:
-    """A cluster in a (possibly post-departure) configuration: which
-    position variable it sits on and how many candidates it holds."""
-
-    var: int
-    count: int
-
-
-def _block_mean(scores: Sequence[Fraction], first_rank: int, size: int) -> Fraction:
-    return sum(scores[first_rank - 1 : first_rank - 1 + size]) / size
-
-
-def _sym_member_score(
-    scores: Sequence[Fraction], stations: Sequence[_Station], idx: int, q: int
-) -> _Aff:
-    """Affine score of one candidate at stations[idx].
-
-    Mirrors the numeric region walk: boundaries are the midpoints with the
-    other stations in variable order, and the closer-count starts at the
-    total count left of the home station, flipping once per boundary.
-    """
-    home = stations[idx]
-    others = [st for k, st in enumerate(stations) if k != idx]
-    closer = sum(st.count for st in others if st.var < home.var)
-    total = _aff_const(q, ZERO)
-    lo = _aff_const(q, ZERO)
-    for nxt in others + [None]:
-        hi = _aff_const(q, ONE) if nxt is None else _aff_mid(q, home.var, nxt.var)
-        mean = _block_mean(scores, closer + 1, home.count)
-        total = total + (hi - lo).scaled(mean)
-        if nxt is not None:
-            closer += nxt.count if nxt.var > home.var else -nxt.count
-        lo = hi
-    return total
-
-
-def _sym_limit_score(
-    scores: Sequence[Fraction],
-    stations: Sequence[_Station],
-    idx: int,
-    from_left: bool,
-    q: int,
-) -> _Aff:
-    """Affine one-sided limit score of a lone mover approaching a station."""
-    target = stations[idx]
-    others = [st for k, st in enumerate(stations) if k != idx]
-    closer = sum(st.count for st in others if st.var < target.var)
-    boundaries: list[tuple[_Aff, _Station | None]] = []
-    for st in others:
-        if st.var < target.var:
-            boundaries.append((_aff_mid(q, target.var, st.var), st))
-    boundaries.append((_aff_pos(q, target.var), None))
-    for st in others:
-        if st.var > target.var:
-            boundaries.append((_aff_mid(q, target.var, st.var), st))
-    boundaries.append((_aff_const(q, ONE), None))
-
-    total = _aff_const(q, ZERO)
-    lo = _aff_const(q, ZERO)
-    left_of_target = True
-    for boundary, crossing in boundaries:
-        ahead = left_of_target if from_left else not left_of_target
-        rank = closer + 1 if ahead else closer + target.count + 1
-        total = total + (boundary - lo).scaled(scores[rank - 1])
-        if crossing is None:
-            left_of_target = False
-        else:
-            closer += crossing.count if crossing.var > target.var else -crossing.count
-        lo = boundary
-    return total
+def _score_row(
+    scores: tuple[Fraction, ...], stations: list[tuple[int, int]], idx: int, q: int
+) -> tuple[list[Fraction], Fraction]:
+    """Affine score of one member of stations[idx] over the q position
+    variables.  Stations are (variable, count) pairs in position order; a
+    limit mover shares its target's variable, so their weights add up."""
+    const, weights = score_form(scores, [n for _, n in stations], idx)
+    coeffs = [ZERO] * q
+    for (var, _), w in zip(stations, weights):
+        coeffs[var] += w
+    return coeffs, const
 
 
 def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
@@ -235,50 +139,46 @@ def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
         )
     scores = rule.scores
     names = tuple(f"x{i + 1}" for i in range(q)) + ("delta",)
-    nvars = q + 1
     # Positions are >= delta >= 0 at any feasible point, so the solver may
     # treat all variables as nonnegative.
     lp = LinearProgram(
         names, (ZERO,) * q + (ONE,), nonnegative=True
     )
 
-    def row(aff: _Aff, delta_coeff: Fraction, relation: str, bound: Fraction):
-        lp.add(aff.coeffs + (delta_coeff,), relation, bound - aff.const)
+    def unit(var: int) -> list[Fraction]:
+        return [ONE if i == var else ZERO for i in range(q)]
 
-    row(_aff_pos(q, 0), -ONE, GEQ, ZERO)  # x1 - delta >= 0
+    lp.add(unit(0) + [-ONE], GEQ, ZERO)  # x1 - delta >= 0
     for l in range(q - 1):
-        row(_aff_pos(q, l + 1) - _aff_pos(q, l), -ONE, GEQ, ZERO)
-    row(_aff_pos(q, q - 1).scaled(-ONE), -ONE, GEQ, -ONE)  # 1 - xq >= delta
-    lp.add((ZERO,) * q + (ONE,), GEQ, ZERO)  # delta >= 0
+        lp.add([a - b for a, b in zip(unit(l + 1), unit(l))] + [-ONE], GEQ, ZERO)
+    lp.add([-c for c in unit(q - 1)] + [-ONE], GEQ, -ONE)  # 1 - xq >= delta
+    lp.add([ZERO] * q + [ONE], GEQ, ZERO)  # delta >= 0
 
-    full = [_Station(i, n) for i, n in enumerate(ctype.parts)]
+    full = list(enumerate(ctype.parts))
     seen: set[tuple] = set()
     for j in range(q):
-        original = _sym_member_score(scores, full, j, q)
-        post = [
-            _Station(st.var, st.count - 1 if st.var == j else st.count)
-            for st in full
-            if not (st.var == j and st.count == 1)
-        ]
-        deviations: list[_Aff] = []
-        for k, st in enumerate(post):
-            if st.var != j:
-                joined = [
-                    _Station(p.var, p.count + 1 if i == k else p.count)
-                    for i, p in enumerate(post)
-                ]
-                deviations.append(_sym_member_score(scores, joined, k, q))
-            deviations.append(_sym_limit_score(scores, post, k, True, q))
-            deviations.append(_sym_limit_score(scores, post, k, False, q))
-        for dev in deviations:
-            diff = dev - original
-            key = (diff.coeffs, -diff.const)
-            if all(c == 0 for c in diff.coeffs) and diff.const <= 0:
+        home, home_const = _score_row(scores, full, j, q)
+        post = [(var, n - 1 if var == j else n) for var, n in full if (var, n) != (j, 1)]
+        deviations = []
+        for k, (var, n) in enumerate(post):
+            if var != j:
+                joined = post[:k] + [(var, n + 1)] + post[k + 1 :]
+                deviations.append(_score_row(scores, joined, k, q))
+            # One-sided limits: the mover is listed just before station k
+            # (left approach) or just after it (right approach).
+            deviations.append(_score_row(scores, post[:k] + [(var, 1)] + post[k:], k, q))
+            deviations.append(
+                _score_row(scores, post[: k + 1] + [(var, 1)] + post[k + 1 :], k + 1, q)
+            )
+        for coeffs, const in deviations:
+            diff = tuple(a - b for a, b in zip(coeffs, home))
+            bound = home_const - const
+            if all(c == 0 for c in diff) and bound >= 0:
                 continue  # vacuously satisfied
-            if key in seen:
+            if (diff, bound) in seen:
                 continue
-            seen.add(key)
-            row(diff, ZERO, LEQ, ZERO)
+            seen.add((diff, bound))
+            lp.add(diff + (ZERO,), LEQ, bound)
     return lp
 
 

@@ -8,7 +8,10 @@ from scoreline.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects malformed options this way
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -158,15 +161,53 @@ def test_byte_stability(capsys):
     assert first == second
 
 
-def test_invalid_rule_exits_two(capsys):
-    code, _, err = run(capsys, "classify", "--rule", "0,1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--rule", "0,1"),
+        ("classify", "--rule", "1,0,0,0", "--csv"),
+        ("cne", "--rule", "1,0,0,0", "--json"),
+        ("bounds", "--rule", "1,0,0,0", "--seed", "1"),
+    ],
+    ids=["increasing-rule", "classify-csv", "removed-json", "removed-seed"],
+)
+def test_invalid_rule_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "error" in err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
-def test_invalid_profile_exits_two(capsys):
-    code, _, err = run(capsys, "verify", "--rule", "1,0,0,0", "--profile", "nope")
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--profile", "nope"),
+        ("--profile", "1/0*4"),
+        ("--profile", "1/4*2;3/4*2", "--grid", "1"),
+        ("--profile", "1/4*2;3/4*2", "--grid", "0"),
+        ("--profile", "1/4*2;3/4*2", "--grid", "-5"),
+    ],
+    ids=["malformed", "zero-denominator", "grid-one", "grid-zero", "grid-negative"],
+)
+def test_invalid_profile_exits_two(capsys, extra):
+    code, _, err = run(capsys, "verify", "--rule", "1,0,0,0", *extra)
     assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"1,0,0,0\n# comment\n0,1\n", "rules.txt:3:"), (b"\xff\xfe1,0\n", "utf-8")],
+    ids=["bad-rule-line", "not-utf8"],
+)
+def test_scan_bad_file_exits_two(tmp_path, capsys, content, message):
+    rules = tmp_path / "rules.txt"
+    rules.write_bytes(content)
+    code, _, err = run(capsys, "scan", "--rules-file", str(rules))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_two(capsys):

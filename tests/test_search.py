@@ -212,25 +212,15 @@ def test_twelve_candidate_search_rediscovers_asymmetric_pair():
     assert by_type[(8, 4)].gap == F(1, 42)
 
 
-def test_symbolic_scores_match_numeric_scorer():
-    """The affine score expressions used to assemble LP rows must agree
-    exactly with the numeric scorer at any strictly ordered positions."""
-    from scoreline import (
-        AtCluster,
-        Cluster,
-        LeftLimit,
-        Profile,
-        RightLimit,
-        candidate_score,
-        deviation_score,
-    )
-    from scoreline.search import _Station, _sym_limit_score, _sym_member_score
-
-    def value_at(aff, positions):
-        return sum(c * p for c, p in zip(aff.coeffs, positions)) + aff.const
+def test_deviation_rows_match_oracle_ledger():
+    """Every deviation row of the LP, evaluated at strictly ordered interior
+    positions, equals minus the slack of some entry in the independent
+    oracle's ledger, and the rows all hold exactly at an equilibrium."""
+    from scoreline import Cluster, Profile
 
     rng = random.Random(27)
-    for _ in range(40):
+    equilibria = 0
+    for _ in range(300):
         rule = random_rule(rng)
         m = rule.m
         q = rng.randint(1, min(4, m))
@@ -241,33 +231,18 @@ def test_symbolic_scores_match_numeric_scorer():
         profile = Profile(
             tuple(Cluster(p, n) for p, n in zip(positions, counts))
         )
-        full = [_Station(i, n) for i, n in enumerate(counts)]
-        for j in range(q):
-            sym = _sym_member_score(rule.scores, full, j, q)
-            assert value_at(sym, positions) == candidate_score(profile, rule, j)
-            post = [
-                _Station(st.var, st.count - 1 if st.var == j else st.count)
-                for st in full
-                if not (st.var == j and st.count == 1)
-            ]
-            for k, st in enumerate(post):
-                left = _sym_limit_score(rule.scores, post, k, True, q)
-                right = _sym_limit_score(rule.scores, post, k, False, q)
-                assert value_at(left, positions) == deviation_score(
-                    profile, rule, j, LeftLimit(st.var)
-                )
-                assert value_at(right, positions) == deviation_score(
-                    profile, rule, j, RightLimit(st.var)
-                )
-                if st.var != j:
-                    joined = [
-                        _Station(p.var, p.count + 1 if i == k else p.count)
-                        for i, p in enumerate(post)
-                    ]
-                    sym_join = _sym_member_score(rule.scores, joined, k, q)
-                    assert value_at(sym_join, positions) == deviation_score(
-                        profile, rule, j, AtCluster(st.var)
-                    )
+        lp = build_deviation_lp(rule, ClusterType(tuple(counts)))
+        values = [
+            sum(c * x for c, x in zip(row.coeffs, positions)) - row.bound
+            for row in lp.constraints[q + 2 :]
+        ]
+        report = verify_profile(rule, profile)
+        deficits = {-e.slack for e in report.ledger}
+        assert all(v in deficits for v in values)
+        holds = all(v <= 0 for v in values)
+        assert holds == (report.status is Status.EQUILIBRIUM)
+        equilibria += holds
+    assert equilibria > 0
 
 
 def test_six_candidate_characterization_agrees_with_search():
