@@ -216,7 +216,9 @@ def impossibility_verdicts(rule: ScoringRule) -> list[Verdict]:
         verdicts.append(flat)
 
     c = cox_threshold(rule)
-    if m % 2 == 0:
+    if m == 2:
+        highly = False  # the even-m threshold 1 - 1/(m - 2) is undefined
+    elif m % 2 == 0:
         highly = c > 1 - Fraction(1, m - 2) and s[m // 2 - 1] != s[m // 2]
     else:
         highly = c > 1 - Fraction(1, m - 1) and s[(m - 1) // 2 - 1] != s[(m + 3) // 2 - 1]

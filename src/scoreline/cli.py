@@ -43,6 +43,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# verify --grid N probes N + 1 free points per mover, each an exact oracle
+# evaluation and a ledger entry; N = 10^4 already takes about 9 s on a
+# two-cluster profile at m = 4.
+MAX_GRID = 10_000
+
 
 def _interval_doc(iv: analytic.Interval | None):
     if iv is None:
@@ -397,6 +402,8 @@ def _resolution(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"grid resolution {value} is below 2")
+    if value > MAX_GRID:
+        raise argparse.ArgumentTypeError(f"grid resolution {value} is above {MAX_GRID}")
     return value
 
 
@@ -437,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify or refute a profile")
     add_common(p)
     p.add_argument("--profile", required=True, help="semicolon-separated position*count, e.g. '13/28*8;41/84*4'")
-    p.add_argument("--grid", type=_resolution, metavar="N", help="additionally probe free points k/N, N >= 2")
+    p.add_argument("--grid", type=_resolution, metavar="N", help=f"additionally probe free points k/N, 2 <= N <= {MAX_GRID}")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("characterize", help="closed-form answer for 4-6 candidates")

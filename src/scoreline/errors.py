@@ -56,4 +56,5 @@ class UnsupportedCandidateCountError(ScorelineError):
 
 
 class InternalVerificationError(ScorelineError):
-    """A computed witness failed the independent oracle; indicates a bug."""
+    """A computed witness or LP certificate failed its independent check;
+    indicates a bug."""

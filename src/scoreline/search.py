@@ -33,7 +33,7 @@ from typing import Callable
 from . import verify as verify_mod
 from .analytic import Conclusion, Interval, cne_interval, flat_middle_analysis, prune_cluster_type
 from .errors import CompositionMismatchError, InternalVerificationError
-from .lpcore import LEQ, GEQ, LinearProgram, LpOutcome, LpStatus, solve
+from .lpcore import LEQ, GEQ, LinearProgram, LpOutcome, LpStatus, certifies, solve
 from .profiles import Cluster, Profile, score_form
 from .rulekit import ScoringRule, canonicalize
 
@@ -237,15 +237,17 @@ def _solve_type(rule: ScoringRule, entry: TypeEntry) -> TypeOutcome:
     lp = build_deviation_lp(rule, entry.ctype)
     outcome = solve(lp)
     gap = outcome.value if outcome.status is LpStatus.OPTIMAL else None
-    witness = None
-    is_eq = False
-    if outcome.status is LpStatus.OPTIMAL and outcome.value > 0:
-        positions = outcome.point[: entry.ctype.q]
-        witness = Profile(
-            tuple(Cluster(p, n) for p, n in zip(positions, entry.ctype.parts))
-        )
-        is_eq = True
-    return TypeOutcome(entry.ctype, False, (), outcome, gap, witness, is_eq)
+    if gap is None or gap <= 0:
+        # "No equilibrium of this type" rests on the LP's certificate,
+        # checked here from the LP alone, not on trust in the solver.
+        if not certifies(lp, outcome):
+            raise InternalVerificationError(
+                f"{outcome.status.value} LP of type {entry.ctype} has no valid certificate"
+            )
+        return TypeOutcome(entry.ctype, False, (), outcome, gap)
+    positions = outcome.point[: entry.ctype.q]
+    witness = Profile(tuple(Cluster(p, n) for p, n in zip(positions, entry.ctype.parts)))
+    return TypeOutcome(entry.ctype, False, (), outcome, gap, witness, True)
 
 
 def _worker(payload) -> TypeOutcome:
@@ -259,9 +261,11 @@ def find_ncne(rule: ScoringRule, options: SearchOptions | None = None) -> Search
 
     Types whose LP is infeasible or tops out at gap zero are never reported
     as equilibria (a zero gap means the only candidates sit on a boundary
-    or coincide, which no equilibrium does).  With ``include_single_cluster``
-    the q = 1 type is solved as well, reproducing the single-cluster
-    existence interval as a cross-check of the constraint builder.
+    or coincide, which no equilibrium does); each such verdict is checked
+    exactly against the LP's dual certificate (``lpcore.certifies``).
+    With ``include_single_cluster`` the q = 1 type is solved as well,
+    reproducing the single-cluster existence interval as a cross-check of
+    the constraint builder.
     """
     opts = options or SearchOptions()
     canon = canonicalize(rule)

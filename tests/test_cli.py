@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from scoreline import verify
 from scoreline.cli import main
 
 
@@ -44,6 +45,16 @@ def test_cne(capsys):
 def test_bounds(capsys):
     doc = run_json(capsys, "bounds", "--rule", "1,0,0,0")
     assert doc["result"]["min_positions"] == 2
+
+
+@pytest.mark.parametrize("command", ["bounds", "scan"])
+def test_two_candidates(tmp_path, capsys, command):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("1,0\n")
+    argv = ("--rules-file", str(rules)) if command == "scan" else ("--rule", "1,0")
+    code, _, err = run(capsys, command, *argv)
+    assert code == 0
+    assert "Traceback" not in err
 
 
 def test_find_ncne_lists_types(capsys):
@@ -186,10 +197,18 @@ def test_invalid_rule_exits_two(capsys, argv):
         ("--profile", "1/4*2;3/4*2", "--grid", "1"),
         ("--profile", "1/4*2;3/4*2", "--grid", "0"),
         ("--profile", "1/4*2;3/4*2", "--grid", "-5"),
+        ("--profile", "1/4*2;3/4*2", "--grid", "99999999999"),
     ],
-    ids=["malformed", "zero-denominator", "grid-one", "grid-zero", "grid-negative"],
+    ids=[
+        "malformed", "zero-denominator", "grid-one", "grid-zero", "grid-negative",
+        "grid-above-cap",
+    ],
 )
-def test_invalid_profile_exits_two(capsys, extra):
+def test_invalid_profile_exits_two(capsys, monkeypatch, extra):
+    def no_probing(*args):
+        raise AssertionError("grid probing started")
+
+    monkeypatch.setattr(verify, "grid_cross_check", no_probing)
     code, _, err = run(capsys, "verify", "--rule", "1,0,0,0", *extra)
     assert code == 2
     assert "error:" in err

@@ -1,6 +1,7 @@
 """Cluster-type enumeration, the deviation LP, and the full search."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -22,8 +23,8 @@ from scoreline import (
     solve,
     verify_profile,
 )
-from scoreline.errors import CompositionMismatchError
-from scoreline.lpcore import satisfies
+from scoreline.errors import CompositionMismatchError, InternalVerificationError
+from scoreline.lpcore import certifies, satisfies
 
 from util import random_rule
 
@@ -66,8 +67,27 @@ def test_lp_plurality_pair_type():
 
 
 def test_lp_borda_pair_type_has_no_gap():
-    out = solve(build_deviation_lp(parse_rule("3,2,1,0"), ClusterType((2, 2))))
+    lp = build_deviation_lp(parse_rule("3,2,1,0"), ClusterType((2, 2)))
+    out = solve(lp)
     assert out.status is LpStatus.INFEASIBLE or out.value == 0
+    assert certifies(lp, out)
+
+
+def test_tampered_certificate_stops_the_search(monkeypatch, capsys):
+    """A type without an equilibrium is reported only with a certificate
+    that checks; a zeroed one exits 3 and names the type."""
+    from scoreline import search
+    from scoreline.cli import main
+
+    def tampered(lp):
+        out = solve(lp)
+        return replace(out, certificate=tuple(F(0) for _ in out.certificate))
+
+    monkeypatch.setattr(search, "solve", tampered)
+    with pytest.raises(InternalVerificationError, match=r"type \(1,3\)"):
+        find_ncne(parse_rule("3,2,1,0"), SearchOptions(prune=False))
+    assert main(["find-ncne", "--no-prune", "--rule", "3,2,1,0"]) == 3
+    assert "type (1,3)" in capsys.readouterr().err
 
 
 def test_lp_single_cluster_reproduces_existence_interval():
