@@ -388,7 +388,11 @@ def multipositional_construct(
     """Symmetric witness with r candidates at the centre of each of q equal
     electorates, valid exactly when the head subrule's threshold is <= 1/2.
     """
-    if q < 2 or r < 1 or q * r != rule.m:
+    if q < 2:
+        raise CompositionMismatchError(f"need at least 2 positions, got q={q}")
+    if r < 1:
+        raise CompositionMismatchError(f"need at least 1 candidate per position, got r={r}")
+    if q * r != rule.m:
         raise CompositionMismatchError(f"need q*r == m, got {q}*{r} != {rule.m}")
     head = _zero_tail_subrule(rule, r)
     if cox_threshold(head) > HALF:

@@ -289,8 +289,13 @@ def find_ncne(rule: ScoringRule, options: SearchOptions | None = None) -> Search
         if out.is_equilibrium:
             report = verify_mod.verify_profile(canon, out.witness)
             if report.status is not verify_mod.Status.EQUILIBRIUM:
+                violations = "; ".join(
+                    f"mover {e.mover} to {e.target} slack {e.slack}"
+                    for e in report.violations
+                )
                 raise InternalVerificationError(
-                    f"search witness for type {out.ctype} failed the oracle"
+                    f"search witness {out.witness} for type {out.ctype} "
+                    f"failed the oracle: {violations}"
                 )
             if out.ctype.q >= 2:
                 ncne.append(out.ctype)

@@ -218,6 +218,20 @@ def test_multipositional_form_mismatch():
         multipositional_construct(parse_rule("3,2,1,0"), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "q, r, message",
+    [
+        (-2, -2, r"at least 2 positions, got q=-2"),
+        (1, 4, r"at least 2 positions, got q=1"),
+        (4, 0, r"at least 1 candidate per position, got r=0"),
+        (3, 1, r"q\*r == m, got 3\*1 != 4"),
+    ],
+)
+def test_multipositional_split_errors_name_the_fault(q, r, message):
+    with pytest.raises(CompositionMismatchError, match=message):
+        multipositional_construct(parse_rule("1,0,0,0"), q, r)
+
+
 def test_multipositional_check_rejects_lopsided_profile():
     from scoreline import make_profile
 

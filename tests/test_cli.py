@@ -179,8 +179,13 @@ def test_byte_stability(capsys):
         ("classify", "--rule", "1,0,0,0", "--csv"),
         ("cne", "--rule", "1,0,0,0", "--json"),
         ("bounds", "--rule", "1,0,0,0", "--seed", "1"),
+        ("multipositional", "--rule", "1,0,0,0", "--q", "-2", "--r", "-2"),
+        ("multipositional", "--rule", "1,0,0,0", "--q", "1", "--r", "4"),
     ],
-    ids=["increasing-rule", "classify-csv", "removed-json", "removed-seed"],
+    ids=[
+        "increasing-rule", "classify-csv", "removed-json", "removed-seed",
+        "multipositional-negative-split", "multipositional-one-position",
+    ],
 )
 def test_invalid_rule_exits_two(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -90,6 +90,27 @@ def test_tampered_certificate_stops_the_search(monkeypatch, capsys):
     assert "type (1,3)" in capsys.readouterr().err
 
 
+def test_oracle_refusal_names_witness_and_violation(monkeypatch, capsys):
+    """A witness the oracle refutes exits 3 naming the type, the witness
+    profile and each violating deviation with its slack."""
+    from scoreline import AtCluster, verify
+    from scoreline.cli import main
+
+    def refuting(rule, profile):
+        entry = verify.LedgerEntry(0, AtCluster(1), F(1, 3), F(-1, 12))
+        return verify.EquilibriumReport(
+            verify.Status.NOT_EQUILIBRIUM, (F(1, 4), F(1, 4)), (entry,)
+        )
+
+    monkeypatch.setattr(verify, "verify_profile", refuting)
+    assert main(["find-ncne", "--rule", "1,0,0,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "type (2,2)" in captured.err
+    assert "1/4*2;3/4*2" in captured.err
+    assert "mover 0 to AtCluster(cluster=1) slack -1/12" in captured.err
+
+
 def test_lp_single_cluster_reproduces_existence_interval():
     rng = random.Random(21)
     for _ in range(60):

@@ -1,16 +1,21 @@
 """The independent oracle: certification, refutation and the grid net."""
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from scoreline import (
     AtCluster,
+    Cluster,
     LeftLimit,
+    Profile,
     RightLimit,
     Status,
     candidate_score,
+    deviation_score,
     grid_cross_check,
     make_profile,
     parse_rule,
@@ -157,3 +162,62 @@ def test_conservation_audit():
             s * c.count for s, c in zip(report.cluster_scores, prof.clusters)
         )
         assert total == sum(rule.scores)
+
+
+# Pairwise coprime denominators, so the oracle's common scale is a product.
+MIXED_POSITIONS = (
+    F(0), F(1, 7), F(3, 11), F(1, 3), F(5, 13), F(9, 17), F(97, 101), F(1)
+)
+
+
+def mixed_denominator_profile(rng, m):
+    q = rng.randint(1, min(5, m))
+    cuts = sorted(rng.sample(range(1, m), q - 1))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [m])]
+    positions = sorted(rng.sample(MIXED_POSITIONS, q))
+    return Profile(tuple(Cluster(p, c) for p, c in zip(positions, counts)))
+
+
+def test_ledger_matches_region_walk_on_mixed_denominators():
+    """Every ledger score equals the region walk's, on positions whose
+    denominators are coprime, with clusters at 0 and 1 and q = 1 included."""
+    rng = random.Random(35)
+    seen_q1 = seen_ends = 0
+    for i in range(80):
+        rule = random_rule(rng)
+        prof = mixed_denominator_profile(rng, rule.m)
+        seen_q1 += prof.q == 1
+        seen_ends += prof.positions[0] == 0 or prof.positions[-1] == 1
+        report = verify_profile(rule, prof)
+        for k in range(prof.q):
+            assert report.cluster_scores[k] == candidate_score(prof, rule, k)
+        for e in report.ledger:
+            assert e.score == deviation_score(prof, rule, e.mover, e.target)
+        if i % 16 == 0:
+            assert grid_cross_check(rule, prof, 37).status == report.status
+    assert seen_q1 >= 5 and seen_ends >= 20
+
+
+def test_oracle_imports_only_data_types_from_the_scorers():
+    """The oracle shares the profile data types, the rule and the errors
+    with the rest of the package, and nothing else: no scorer from
+    profiles, nothing from search or lpcore, nothing via the package root."""
+    import scoreline.verify
+
+    tree = ast.parse(Path(scoreline.verify.__file__).read_text())
+    data_types = {
+        "Profile", "AtCluster", "LeftLimit", "RightLimit", "FreePoint",
+        "DeviationTarget",  # the union of the four target classes
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("scoreline") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if not (node.level or name.startswith("scoreline")):
+                continue  # the standard library
+            module = name.removeprefix("scoreline").strip(".")
+            assert module in {"profiles", "rulekit", "errors"}, module or "root"
+            if module == "profiles":
+                names = {a.name for a in node.names}
+                assert names <= data_types, names - data_types
