@@ -228,6 +228,38 @@ def impossibility_verdicts(rule: ScoringRule) -> list[Verdict]:
     return verdicts
 
 
+@dataclass(frozen=True)
+class _PruneFacts:
+    """The rule-only inputs of :func:`prune_cluster_type`."""
+
+    min_end: int  # an end cluster needs more candidates than the leading plateau
+    end_pair_barred: bool  # 2nd and (m-1)th scores differ
+    singles_barred: bool
+    median_left: int | None  # candidates left of the admissible singleton (odd m)
+
+
+def _prune_facts(rule: ScoringRule) -> _PruneFacts:
+    s = rule.scores
+    m = rule.m
+    k, _ = plateaus(rule)
+    # Unpaired candidates: a singleton's payoff slope must vanish on both
+    # sides, which pins the adjacent score pairs; when they differ, the only
+    # admissible singleton is the median candidate (odd m).
+    if m % 2 == 0:
+        singles_barred = s[m // 2 - 1] != s[m // 2]
+        median_left = None
+    else:
+        singles_barred = s[(m - 1) // 2 - 1] != s[(m + 3) // 2 - 1]
+        median_left = (m - 1) // 2
+    return _PruneFacts(k + 1, s[1] != s[m - 2], singles_barred, median_left)
+
+
+# prune_cluster_type runs once per cluster type, 2^(m-1) times for one rule
+# in a search, so the facts of the last rule seen are kept.  The key is the
+# rule object itself: hashing a rule would hash every score on every call.
+_last_facts: tuple[ScoringRule, _PruneFacts] | None = None
+
+
 def prune_cluster_type(
     rule: ScoringRule, parts: tuple[int, ...]
 ) -> tuple[bool, list[str]]:
@@ -238,34 +270,32 @@ def prune_cluster_type(
     global nonexistence theorems are deliberately not consulted, so the
     search remains an independent check on them.
     """
+    global _last_facts
     m = rule.m
-    if any(p <= 0 for p in parts) or sum(parts) != m:
+    if not parts or min(parts) <= 0 or sum(parts) != m:
         raise CompositionMismatchError(f"{parts} is not a composition of {m}")
-    if len(parts) == 1:
+    q = len(parts)
+    if q == 1:
         return (True, [])  # single cluster is not nonconvergent; nothing applies
-    s = rule.scores
-    reasons: list[str] = []
-    k, _ = plateaus(rule)
-    if min(parts[0], parts[-1]) <= k:
-        reasons.append(f"end cluster needs at least {k + 1} candidates")
-    if (parts[0] == 2 or parts[-1] == 2) and s[1] != s[m - 2]:
-        reasons.append("end cluster of two needs the 2nd and (m-1)th scores equal")
-    # Unpaired candidates: a singleton's payoff slope must vanish on both
-    # sides, which pins the adjacent score pairs; when they differ, the only
-    # admissible singleton is the median candidate (odd m).
-    if m % 2 == 0:
-        singles_barred = s[m // 2 - 1] != s[m // 2]
-        median_left = None
+    cached = _last_facts
+    if cached is not None and cached[0] is rule:
+        facts = cached[1]
     else:
-        singles_barred = s[(m - 1) // 2 - 1] != s[(m + 3) // 2 - 1]
-        median_left = (m - 1) // 2
-    if singles_barred:
-        left = 0
-        for i, p in enumerate(parts):
-            if p == 1 and 0 < i < len(parts) - 1 and left != median_left:
+        facts = _prune_facts(rule)
+        _last_facts = (rule, facts)
+    reasons: list[str] = []
+    first, last = parts[0], parts[-1]
+    if first < facts.min_end or last < facts.min_end:
+        reasons.append(f"end cluster needs at least {facts.min_end} candidates")
+    if facts.end_pair_barred and (first == 2 or last == 2):
+        reasons.append("end cluster of two needs the 2nd and (m-1)th scores equal")
+    if facts.singles_barred and 1 in parts[1:-1]:
+        left = first
+        for i in range(1, q - 1):
+            if parts[i] == 1 and left != facts.median_left:
                 reasons.append(f"interior singleton at index {i} cannot be unpaired")
                 break
-            left += p
+            left += parts[i]
     return (not reasons, reasons)
 
 

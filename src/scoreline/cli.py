@@ -32,6 +32,7 @@ from .rulekit import (
     canonicalize,
     classify,
     cox_threshold,
+    parse_number,
     parse_rule,
     plateaus,
     shape_profile,
@@ -175,22 +176,49 @@ def _write_svg(path: str | None, profile: Profile | None) -> None:
             fh.write(_profile_svg(profile))
 
 
+class _TypeEntries:
+    """The ``types`` array of a search result, written one entry at a time
+    by :func:`_write_json`.  A search reports all 2^(m-1) types, so at large
+    m nearly every entry is a pruned type with one of a few tails."""
+
+    def __init__(self, outcomes: tuple[search.TypeOutcome, ...]) -> None:
+        self.outcomes = outcomes
+
+    def rendered(self):
+        """Each entry as ``json.dump(document, indent=2)`` prints it, at
+        depth 3.  Everything after ``"type"`` is rendered by the json module
+        once per distinct value and re-indented, so it does all escaping."""
+        tails: dict[tuple, str] = {}
+        for o in self.outcomes:
+            status = o.lp_outcome.status.value if o.lp_outcome else None
+            key = (o.pruned, o.prune_reasons, status, o.gap, o.witness)
+            tail = tails.get(key)
+            if tail is None:
+                text = json.dumps(
+                    {
+                        "pruned": o.pruned,
+                        "prune_reasons": list(o.prune_reasons),
+                        "lp_status": status,
+                        "gap": str(o.gap) if o.gap is not None else None,
+                        "witness": _profile_doc(o.witness) if o.witness else None,
+                        "is_equilibrium": o.is_equilibrium,
+                    },
+                    indent=2,
+                )
+                # Drop the braces and move the keys from depth 1 to depth 4.
+                tail = tails[key] = text[1:-2].replace("\n", "\n      ")
+            yield (
+                '{\n        "type": [\n          '
+                + ",\n          ".join(map(str, o.ctype.parts))
+                + "\n        ]," + tail + "\n      }"
+            )
+
+
 def _search_result_doc(result: search.SearchResult):
     return {
         "ncne_types": [list(t.parts) for t in result.ncne_types],
         "cne_interval": _interval_doc(result.cne),
-        "types": [
-            {
-                "type": list(o.ctype.parts),
-                "pruned": o.pruned,
-                "prune_reasons": list(o.prune_reasons),
-                "lp_status": o.lp_outcome.status.value if o.lp_outcome else None,
-                "gap": str(o.gap) if o.gap is not None else None,
-                "witness": _profile_doc(o.witness) if o.witness else None,
-                "is_equilibrium": o.is_equilibrium,
-            }
-            for o in result.outcomes
-        ],
+        "types": _TypeEntries(result.outcomes),
     }
 
 
@@ -337,7 +365,9 @@ def _cmd_multipositional(args) -> tuple[int, dict]:
 
 
 def _cmd_scan(args) -> tuple[int, dict]:
-    rows = []
+    # Every line is checked before the first search, so that a bad rule
+    # late in a long file is reported at once.
+    rules = []
     with open(args.rules_file, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -345,23 +375,27 @@ def _cmd_scan(args) -> tuple[int, dict]:
                 continue
             try:
                 rule = parse_rule(text)
+                search.require_searchable(rule.m)
             except ScorelineError as exc:
                 raise ScorelineError(f"{args.rules_file}:{lineno}: {exc}") from exc
-            rc = classify(rule)
-            result = search.find_ncne(rule, search.SearchOptions(jobs=args.jobs))
-            rows.append(
-                {
-                    "rule": text,
-                    "canonical": [str(s) for s in canonicalize(rule).scores],
-                    "class": rc.category.value,
-                    "threshold": str(rc.threshold),
-                    "cne_interval": _interval_doc(result.cne),
-                    "ncne_types": [list(t.parts) for t in result.ncne_types],
-                    "verdicts": [
-                        _verdict_doc(v) for v in analytic.impossibility_verdicts(rule)
-                    ],
-                }
-            )
+            rules.append((text, rule))
+    rows = []
+    for text, rule in rules:
+        rc = classify(rule)
+        result = search.find_ncne(rule, search.SearchOptions(jobs=args.jobs))
+        rows.append(
+            {
+                "rule": text,
+                "canonical": [str(s) for s in canonicalize(rule).scores],
+                "class": rc.category.value,
+                "threshold": str(rc.threshold),
+                "cne_interval": _interval_doc(result.cne),
+                "ncne_types": [list(t.parts) for t in result.ncne_types],
+                "verdicts": [
+                    _verdict_doc(v) for v in analytic.impossibility_verdicts(rule)
+                ],
+            }
+        )
     if args.csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -392,7 +426,7 @@ def _parse_profile(text: str, rule: ScoringRule) -> Profile:
             continue
         try:
             pos_text, count_text = chunk.split("*")
-            entries.append((Fraction(pos_text.strip()), int(count_text)))
+            entries.append((parse_number(pos_text.strip()), int(count_text)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScorelineError(f"bad profile entry {chunk!r}") from exc
     return make_profile(entries, rule)
@@ -433,12 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("find-ncne", help="LP search over all cluster types")
+    p = sub.add_parser(
+        "find-ncne", help=f"LP search over all cluster types, at most {search.MAX_M} candidates"
+    )
     add_common(p)
     p.add_argument("--csv", action="store_true", help="CSV output, one row per type")
     p.add_argument("--no-prune", action="store_true", help="solve every type, skipping the prune tests")
     p.add_argument("--include-cne", action="store_true", help="also solve the single-cluster type")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over cluster types")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the types that need an LP")
     p.set_defaults(func=_cmd_find_ncne)
 
     p = sub.add_parser("verify", help="certify or refute a profile")
@@ -471,6 +507,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(document: dict, out) -> None:
+    """``json.dump(document, out, indent=2)`` and a newline, except that a
+    search result's ``types`` array is written entry by entry."""
+    result = document.get("result")
+    types = result.get("types") if isinstance(result, dict) else None
+    if not isinstance(types, _TypeEntries):
+        json.dump(document, out, indent=2)
+        out.write("\n")
+        return
+    text = json.dumps({**document, "result": {**result, "types": []}}, indent=2)
+    if not types.outcomes:
+        out.write(text + "\n")
+        return
+    # "types" is the last key of "result", and only "timing_ms" (a number)
+    # can follow "result", so the last occurrence of the key is this one.
+    head, _, end = text.rpartition('"types": []')
+    out.write(head + '"types": [')
+    sep = "\n      "
+    for entry in types.rendered():
+        out.write(sep + entry)
+        sep = ",\n      "
+    out.write("\n    ]" + end + "\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -493,8 +553,7 @@ def main(argv=None) -> int:
     else:
         if args.timing:
             document["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-        json.dump(document, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(document, sys.stdout)
     return code
 
 

@@ -55,6 +55,10 @@ class UnsupportedCandidateCountError(ScorelineError):
     """Closed-form characterisation only covers 4, 5 or 6 candidates."""
 
 
+class TooManyCandidatesError(ScorelineError):
+    """Rule has more candidates than the cluster-type search enumerates."""
+
+
 class InternalVerificationError(ScorelineError):
     """A computed witness or LP certificate failed its independent check;
     indicates a bug."""

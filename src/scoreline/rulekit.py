@@ -29,6 +29,7 @@ __all__ = [
     "ShapeProfile",
     "ConstantSubrule",
     "parse_rule",
+    "parse_number",
     "canonicalize",
     "cox_threshold",
     "classify",
@@ -117,9 +118,26 @@ class ConstantSubrule:
     length: int
 
 
+# Longest number token accepted.  Exponent notation is refused: a token as
+# short as 1e999999999 stands for an integer of a billion digits, and one of
+# 1e5000 parses but cannot be printed back (sys.get_int_max_str_digits).
+MAX_TOKEN = 100
+
+
+def parse_number(token: str) -> Fraction:
+    """An exact rational from an integer, decimal or ``p/q`` token.
+
+    Raises ValueError or ZeroDivisionError when the token is malformed, is
+    in exponent notation or is longer than ``MAX_TOKEN`` characters.
+    """
+    if len(token) > MAX_TOKEN or "e" in token.lower():
+        raise ValueError(f"not a plain number of at most {MAX_TOKEN} characters")
+    return Fraction(token)
+
+
 def _to_fraction(token: str) -> Fraction:
     try:
-        return Fraction(token)
+        return parse_number(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise RuleParseError(f"bad score token {token!r}") from exc
 

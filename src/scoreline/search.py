@@ -28,11 +28,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from operator import sub
+from typing import Callable, Iterator
 
 from . import verify as verify_mod
 from .analytic import Conclusion, Interval, cne_interval, flat_middle_analysis, prune_cluster_type
-from .errors import CompositionMismatchError, InternalVerificationError
+from .errors import CompositionMismatchError, InternalVerificationError, TooManyCandidatesError
 from .lpcore import LEQ, GEQ, LinearProgram, LpOutcome, LpStatus, certifies, solve
 from .profiles import Cluster, Profile, score_form
 from .rulekit import ScoringRule, canonicalize
@@ -46,10 +47,19 @@ __all__ = [
     "enumerate_cluster_types",
     "build_deviation_lp",
     "find_ncne",
+    "require_searchable",
+    "MAX_M",
 ]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# A search enumerates, prunes and reports all 2^(m-1) cluster types, so
+# each further candidate doubles its time, memory and output.  With every
+# type pruned, m = 16 (32,768 types) takes about 0.5 s and prints 15 MB of
+# JSON; m = 20 takes about 9 s, peaks at 350 MiB and prints 260 MB (Python
+# 3.11, 2-CPU VM).  Unpruned types each cost an LP on top of that.
+MAX_M = 20
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,7 @@ class ClusterType:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts or any(p <= 0 for p in self.parts):
+        if not self.parts or min(self.parts) <= 0:
             raise CompositionMismatchError(f"{self.parts} has nonpositive parts")
 
     @property
@@ -88,25 +98,28 @@ class TypeEntry:
 
 def enumerate_cluster_types(
     m: int, pruner: Callable[[tuple[int, ...]], tuple[bool, list[str]]] | None = None
-) -> list[TypeEntry]:
-    """All 2^(m-1) compositions of m, ordered by q then lexicographically.
+) -> Iterator[TypeEntry]:
+    """All 2^(m-1) compositions of m, ordered by q then lexicographically,
+    yielded one at a time.
 
-    Pruned types stay in the list with their reasons so that reports can
-    show why a type was never sent to the solver.
+    Pruned types are yielded with their reasons so that reports can show
+    why a type was never sent to the solver.
     """
     if m < 2:
         raise CompositionMismatchError("need at least two candidates")
-    entries: list[TypeEntry] = []
+    return _compositions(m, pruner)
+
+
+def _compositions(m: int, pruner) -> Iterator[TypeEntry]:
     for q in range(1, m + 1):
         for cuts in combinations(range(1, m), q - 1):
-            edges = (0,) + cuts + (m,)
-            parts = tuple(edges[i + 1] - edges[i] for i in range(q))
+            edges = (0,) + cuts
+            parts = tuple(map(sub, cuts + (m,), edges))
             if pruner is None:
-                entries.append(TypeEntry(ClusterType(parts)))
+                yield TypeEntry(ClusterType(parts))
             else:
                 keep, reasons = pruner(parts)
-                entries.append(TypeEntry(ClusterType(parts), not keep, tuple(reasons)))
-    return entries
+                yield TypeEntry(ClusterType(parts), not keep, tuple(reasons))
 
 
 def _score_row(
@@ -255,6 +268,15 @@ def _worker(payload) -> TypeOutcome:
     return _solve_type(ScoringRule(scores), entry)
 
 
+def require_searchable(m: int) -> None:
+    """Raise TooManyCandidatesError when m is above MAX_M."""
+    if m > MAX_M:
+        raise TooManyCandidatesError(
+            f"{m} candidates is above the search limit of {MAX_M} "
+            "(the search enumerates 2^(m-1) cluster types)"
+        )
+
+
 def find_ncne(rule: ScoringRule, options: SearchOptions | None = None) -> SearchResult:
     """Run the full search and certify every witness with the independent
     oracle before reporting it.
@@ -265,27 +287,37 @@ def find_ncne(rule: ScoringRule, options: SearchOptions | None = None) -> Search
     exactly against the LP's dual certificate (``lpcore.certifies``).
     With ``include_single_cluster`` the q = 1 type is solved as well,
     reproducing the single-cluster existence interval as a cross-check of
-    the constraint builder.
+    the constraint builder.  Rules with more than ``MAX_M`` candidates are
+    refused before any type is enumerated.
     """
     opts = options or SearchOptions()
+    require_searchable(rule.m)
     canon = canonicalize(rule)
     pruner = _make_pruner(canon) if opts.prune else None
-    entries = [
+    entries = (
         e
         for e in enumerate_cluster_types(canon.m, pruner)
         if opts.include_single_cluster or e.ctype.q >= 2
-    ]
+    )
+    # Only the types that need an LP go to worker processes; a pruned
+    # outcome is built here in less time than it takes to send it.
+    solved = None
     jobs = max(1, int(opts.jobs))
-    if jobs > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(_worker, [(canon.scores, e) for e in entries]))
-    else:
-        outcomes = [_solve_type(canon, e) for e in entries]
+    if jobs > 1:
+        entries = list(entries)
+        todo = [e for e in entries if not e.pruned]
+        if len(todo) > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+                solved = iter(list(pool.map(_worker, [(canon.scores, e) for e in todo])))
 
-    outcomes.sort(key=lambda o: (o.ctype.q, o.ctype.parts))
     checked: list[TypeOutcome] = []
     ncne: list[ClusterType] = []
-    for out in outcomes:
+    for entry in entries:
+        # Enumeration order is (q, parts) order, which reports keep.
+        if solved is not None and not entry.pruned:
+            out = next(solved)
+        else:
+            out = _solve_type(canon, entry)
         if out.is_equilibrium:
             report = verify_mod.verify_profile(canon, out.witness)
             if report.status is not verify_mod.Status.EQUILIBRIUM:

@@ -8,15 +8,19 @@ import pytest
 from scoreline import (
     Conclusion,
     Interval,
+    ScoringRule,
     Status,
     bipositional_solve,
+    canonicalize,
     characterize_small_election,
     cne_interval,
+    enumerate_cluster_types,
     flat_middle_analysis,
     impossibility_verdicts,
     multipositional_check,
     multipositional_construct,
     parse_rule,
+    plateaus,
     prune_cluster_type,
     structural_bounds,
     verify_profile,
@@ -142,6 +146,66 @@ def test_prune_allows_median_singleton_odd_m():
 def test_prune_rejects_bad_composition():
     with pytest.raises(CompositionMismatchError):
         prune_cluster_type(parse_rule("1,0,0,0"), (2, 3))
+
+
+def _reference_prune(rule, parts):
+    """prune_cluster_type as it was before the rule-only facts were cached:
+    every fact recomputed from the scores on every call."""
+    m = rule.m
+    if any(p <= 0 for p in parts) or sum(parts) != m:
+        raise CompositionMismatchError(f"{parts} is not a composition of {m}")
+    if len(parts) == 1:
+        return (True, [])
+    s = rule.scores
+    reasons = []
+    k, _ = plateaus(rule)
+    if min(parts[0], parts[-1]) <= k:
+        reasons.append(f"end cluster needs at least {k + 1} candidates")
+    if (parts[0] == 2 or parts[-1] == 2) and s[1] != s[m - 2]:
+        reasons.append("end cluster of two needs the 2nd and (m-1)th scores equal")
+    if m % 2 == 0:
+        singles_barred = s[m // 2 - 1] != s[m // 2]
+        median_left = None
+    else:
+        singles_barred = s[(m - 1) // 2 - 1] != s[(m + 3) // 2 - 1]
+        median_left = (m - 1) // 2
+    if singles_barred:
+        left = 0
+        for i, p in enumerate(parts):
+            if p == 1 and 0 < i < len(parts) - 1 and left != median_left:
+                reasons.append(f"interior singleton at index {i} cannot be unpaired")
+                break
+            left += p
+    return (not reasons, reasons)
+
+
+def test_prune_matches_per_call_reference():
+    """Same (keep, reasons) as the per-call reference for every type of 42
+    seeded rules, m = 4..10, on raw rational rules and their canonical
+    forms, with calls in runs on one rule and alternating between two."""
+    rng = random.Random(5)
+    seen = set()
+    for i in range(42):
+        m = 4 + i % 7
+        while True:
+            vals = sorted((rng.randint(0, 3) for _ in range(m)), reverse=True)
+            if vals[0] > vals[-1]:
+                break
+        scale, shift = F(rng.randint(1, 9), rng.randint(1, 7)), F(rng.randint(-5, 5), 3)
+        raw = ScoringRule(tuple(v * scale + shift for v in vals))
+        canon = canonicalize(raw)
+        types = [e.ctype.parts for e in enumerate_cluster_types(m)]
+        for rule in (raw, canon):
+            for parts in types:
+                assert prune_cluster_type(rule, parts) == _reference_prune(rule, parts)
+        for parts in types:
+            for rule in (raw, canon):
+                keep, reasons = _reference_prune(rule, parts)
+                assert prune_cluster_type(rule, parts) == (keep, reasons)
+                seen.add((m % 2, "kept" if keep else "pruned"))
+                seen.update((m % 2, r.split(" at ")[0].split(" needs")[0]) for r in reasons)
+    kinds = {"kept", "pruned", "end cluster", "end cluster of two", "interior singleton"}
+    assert seen == {(parity, kind) for parity in (0, 1) for kind in kinds}
 
 
 def test_flat_middle_analysis():

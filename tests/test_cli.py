@@ -1,11 +1,18 @@
 """Command-line surface: JSON documents, exit codes, CSV, SVG, round-trips."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scoreline import verify
-from scoreline.cli import main
+from scoreline import cli, parse_rule, search, verify
+from scoreline.cli import MAX_GRID, main
 
 
 def run(capsys, *argv):
@@ -245,7 +252,191 @@ def test_jobs_flag(capsys):
     assert doc["result"]["ncne_types"] == [[2, 2]]
 
 
+@pytest.mark.parametrize("m", [search.MAX_M + 1, 40, 2000])
+@pytest.mark.parametrize("command", ["find-ncne", "scan"])
+def test_search_refuses_m_above_limit(tmp_path, capsys, monkeypatch, command, m):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(search, "enumerate_cluster_types", no_enumeration)
+    rule = ",".join(["1"] + ["0"] * (m - 1))
+    if command == "scan":  # every line is checked before the first search
+        rules = tmp_path / "rules.txt"
+        rules.write_text(f"1,0,0,0\n{rule}\n")
+        argv = ("--rules-file", str(rules))
+    else:
+        argv = ("--rule", rule)
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"above the search limit of {search.MAX_M}" in err
+    assert command == "find-ncne" or "rules.txt:2:" in err
+    assert "Traceback" not in err
+
+
+def _reference_find_ncne_output(text, options, timing=False):
+    """find-ncne's JSON as one dict of per-type dicts rendered by
+    json.dumps(indent=2): the renderer before types were streamed."""
+    rule = parse_rule(text)
+    result = search.find_ncne(rule, options)
+    doc = {
+        "schema_version": "1",
+        "command": "find-ncne",
+        "rule": {
+            "input": text,
+            "canonical": [str(s) for s in result.rule.scores],
+            "m": rule.m,
+        },
+        "result": {
+            "ncne_types": [list(t.parts) for t in result.ncne_types],
+            "cne_interval": cli._interval_doc(result.cne),
+            "types": [
+                {
+                    "type": list(o.ctype.parts),
+                    "pruned": o.pruned,
+                    "prune_reasons": list(o.prune_reasons),
+                    "lp_status": o.lp_outcome.status.value if o.lp_outcome else None,
+                    "gap": str(o.gap) if o.gap is not None else None,
+                    "witness": cli._profile_doc(o.witness) if o.witness else None,
+                    "is_equilibrium": o.is_equilibrium,
+                }
+                for o in result.outcomes
+            ],
+        },
+    }
+    if timing:
+        doc["timing_ms"] = 0
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags, text, options",
+    [
+        ((), "5,5,5,5,5,4,3,1,0,0", search.SearchOptions()),
+        (("--no-prune",), "3,1,1,1,1,0", search.SearchOptions(prune=False)),
+        (("--include-cne",), "1,1,1,0", search.SearchOptions(include_single_cluster=True)),
+        ((), "7/2,1,1/3,0", search.SearchOptions()),
+        (("--timing",), "3,1,1,1,1,1,1,0", search.SearchOptions()),
+    ],
+    ids=["plateau-m10", "no-prune", "include-cne", "fractions", "timing"],
+)
+def test_find_ncne_output_matches_reference_renderer(capsys, flags, text, options):
+    code, out, _ = run(capsys, "find-ncne", *flags, "--rule", text)
+    assert code == 0
+    timing = "--timing" in flags
+    if timing:
+        out, n = re.subn(r'"timing_ms": [0-9.]+\n}\n$', '"timing_ms": 0\n}\n', out)
+        assert n == 1
+    assert out == _reference_find_ncne_output(text, options, timing)
+
+
 def test_include_cne_flag(capsys):
     doc = run_json(capsys, "find-ncne", "--rule", "1,1,1,0", "--include-cne")
     singles = [t for t in doc["result"]["types"] if t["type"] == [4]]
     assert singles and singles[0]["lp_status"] == "optimal"
+
+
+# Malformed and edge-value command lines.  Rules that parse are kept short
+# (m <= 6) so that a search stays fast; longer ones are built past
+# search.MAX_M, where the command must refuse them before enumerating.
+_SCORE_TOKENS = st.sampled_from(
+    ["0", "1", "2", "5", "12", "1/2", "7/2", "-1", "-0", "+2", "1/0", "0/0", "3/-4",
+     "1.5", "1e3", "1e5000", "9" * 101, "nan", "inf", "x", "", " 4 ", "١", "1_0", "0x1"]
+)
+_RULES = st.one_of(
+    st.lists(st.integers(0, 6), min_size=2, max_size=6).map(
+        lambda v: ",".join(map(str, sorted(v, reverse=True)))
+    ),
+    st.lists(_SCORE_TOKENS, max_size=6).map(",".join),
+    st.integers(search.MAX_M + 1, 60).map(lambda m: ",".join(["1"] + ["0"] * (m - 1))),
+    st.text(max_size=10),
+)
+_POSITIONS = st.sampled_from(
+    ["0", "1", "1/2", "1/3", "2/3", "1/4", "3/4", "13/28", "-1/2", "3/2", "1/0", "0.5", "1e-5000", "x", ""]
+)
+_PROFILES = st.one_of(
+    st.lists(
+        st.tuples(_POSITIONS, st.sampled_from(["1", "2", "3", "0", "-1", "x", ""])),
+        max_size=4,
+    ).map(lambda entries: ";".join(f"{p}*{c}" for p, c in entries)),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def _rule_and_profile(draw):
+    """A rule of m <= 6 and a profile of m candidates, both well formed."""
+    m = draw(st.integers(2, 6))
+    scores = sorted(draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)), reverse=True)
+    q = draw(st.integers(1, m))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=q - 1, max_size=q - 1)))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [m])]
+    positions = sorted(draw(st.sets(st.fractions(0, 1, max_denominator=30),
+                                    min_size=q, max_size=q)))
+    profile = ";".join(f"{p}*{c}" for p, c in zip(positions, counts))
+    return ",".join(map(str, scores)), profile
+
+
+_INTS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(["", "x", "1.5", "99999999999"]))
+_GRIDS = st.sampled_from(["-5", "0", "1", "2", "3", "37", str(MAX_GRID + 1), "99999999999", "x", ""])
+
+
+_RULES_FILE = "<rules file>"  # replaced by the path of a file holding drawn rules
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["classify", "cne", "bounds", "find-ncne", "verify", "characterize",
+         "bipositional", "multipositional", "scan"]
+    ))
+    argv = [command]
+    if command == "scan":
+        argv += ["--rules-file", _RULES_FILE]
+    else:
+        argv += ["--rule", draw(_RULES)]
+    if command in ("find-ncne", "scan"):
+        argv += draw(st.sets(st.sampled_from(["--csv", "--no-prune", "--include-cne"]))
+                     if command == "find-ncne" else st.sets(st.just("--csv")))
+        if draw(st.booleans()):
+            argv += ["--jobs", draw(st.sampled_from(["1", "0", "-3", "x"]))]
+    if command == "verify":
+        if draw(st.booleans()):
+            argv[-1], profile = draw(_rule_and_profile())
+        else:
+            profile = draw(_PROFILES)
+        argv += ["--profile", profile]
+        if draw(st.booleans()):
+            argv += ["--grid", draw(_GRIDS)]
+    if command == "multipositional":
+        if draw(st.booleans()):
+            q, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            zeros = draw(st.integers(0, q * r - 1))
+            argv[-1] = ",".join(["2"] * (q * r - zeros) + ["0"] * zeros)
+            argv += ["--q", str(q), "--r", str(r)]
+        else:
+            argv += ["--q", draw(_INTS), "--r", draw(_INTS)]
+    if draw(st.booleans()):
+        argv.append("--timing")
+    if draw(st.integers(0, 9)) == 0:  # drop one argument
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv, "\n".join(draw(st.lists(_RULES, max_size=3)))
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_malformed_argv_exits_zero_or_two(example):
+    """Any command line exits 0 or 2 and never prints a traceback."""
+    argv, rules = example
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rules.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(rules)
+        argv = [path if a == _RULES_FILE else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

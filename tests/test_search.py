@@ -20,18 +20,33 @@ from scoreline import (
     find_ncne,
     parse_rule,
     prune_cluster_type,
+    search,
     solve,
     verify_profile,
 )
-from scoreline.errors import CompositionMismatchError, InternalVerificationError
+from scoreline.errors import (
+    CompositionMismatchError,
+    InternalVerificationError,
+    TooManyCandidatesError,
+)
 from scoreline.lpcore import certifies, satisfies
 
 from util import random_rule
 
 
 def test_enumerate_counts():
-    assert len(enumerate_cluster_types(4)) == 8
-    assert len(enumerate_cluster_types(12)) == 2048
+    assert len(list(enumerate_cluster_types(4))) == 8
+    assert len(list(enumerate_cluster_types(12))) == 2048
+
+
+def test_enumerate_streams():
+    """Types are yielded one at a time, never built as a list first."""
+    stream = enumerate_cluster_types(30)
+    assert iter(stream) is stream
+    assert next(stream).ctype.parts == (30,)
+    assert next(stream).ctype.parts == (1, 29)
+    with pytest.raises(CompositionMismatchError):
+        enumerate_cluster_types(1)
 
 
 def test_enumerate_order_and_contents():
@@ -50,7 +65,7 @@ def test_enumerate_order_and_contents():
 
 def test_enumerate_with_pruner_tags_types():
     rule = parse_rule("1,1,1,0,0,0")  # top plateau of three
-    entries = enumerate_cluster_types(6, lambda p: prune_cluster_type(rule, p))
+    entries = list(enumerate_cluster_types(6, lambda p: prune_cluster_type(rule, p)))
     for e in entries:
         if min(e.ctype.parts[0], e.ctype.parts[-1]) <= 3:
             assert e.pruned and e.prune_reasons
@@ -239,9 +254,48 @@ def test_parallel_jobs_deterministic():
     rule = parse_rule("3,1,1,1,1,1,1,0")
     seq = find_ncne(rule)
     par = find_ncne(rule, SearchOptions(jobs=2))
+    pruned = [o.pruned for o in seq.outcomes]
+    assert any(pruned) and not all(pruned)
     assert seq.ncne_types == par.ncne_types
-    assert [o.ctype for o in seq.outcomes] == [o.ctype for o in par.outcomes]
-    assert [o.gap for o in seq.outcomes] == [o.gap for o in par.outcomes]
+    assert list(seq.outcomes) == list(par.outcomes)
+
+
+def test_pool_receives_only_unpruned_types(monkeypatch):
+    """Pruned outcomes are built in-process; only LP types are sent."""
+    sent = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            sent.extend(entry for _, entry in payloads)
+            return map(fn, payloads)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    rule = parse_rule("3,1,1,1,1,1,1,0")
+    par = find_ncne(rule, SearchOptions(jobs=2))
+    assert list(par.outcomes) == list(find_ncne(rule).outcomes)
+    assert [e.ctype for e in sent] == [o.ctype for o in par.outcomes if not o.pruned]
+    assert sent and not any(e.pruned for e in sent)
+
+
+def test_search_refuses_m_above_limit(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(search, "enumerate_cluster_types", no_enumeration)
+    search.require_searchable(search.MAX_M)
+    rule = parse_rule(",".join(["1"] + ["0"] * search.MAX_M))
+    with pytest.raises(TooManyCandidatesError, match=f"limit of {search.MAX_M}"):
+        find_ncne(rule)
 
 
 def test_twelve_candidate_search_rediscovers_asymmetric_pair():
