@@ -11,6 +11,10 @@ class RuleParseError(ScorelineError):
     """Rule text contains a malformed token."""
 
 
+class RuleTooLargeError(ScorelineError):
+    """Canonical integer scores of the rule are longer than the library handles."""
+
+
 class NotNonincreasingError(ScorelineError):
     """Score vector is not nonincreasing."""
 

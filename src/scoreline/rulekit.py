@@ -19,6 +19,7 @@ from .errors import (
     ConstantRuleError,
     NotNonincreasingError,
     RuleParseError,
+    RuleTooLargeError,
     SubruleIndexError,
 )
 
@@ -123,6 +124,16 @@ class ConstantSubrule:
 # 1e5000 parses but cannot be printed back (sys.get_int_max_str_digits).
 MAX_TOKEN = 100
 
+# Most decimal digits in a canonical score.  Short tokens can still make long
+# canonical integers (the lcm of 60 denominators near 10^89 has over 5,000
+# digits), and Python refuses to print an int of more than 4,300
+# (sys.get_int_max_str_digits).  Printed numbers are built from the
+# canonical scores.  A search witness, the longest, is a ratio of determinants
+# of at most MAX_M + 1 = 21 integer LP rows with entries under 10^(11 + this
+# bound), so it has fewer than 21 * 161 + 20 = 3,401 digits.
+MAX_SCORE_DIGITS = 150
+_SCORE_LIMIT = 10**MAX_SCORE_DIGITS
+
 
 def parse_number(token: str) -> Fraction:
     """An exact rational from an integer, decimal or ``p/q`` token.
@@ -146,28 +157,42 @@ def parse_rule(text: str) -> ScoringRule:
     """Parse comma-separated integers or ``p/q`` fractions into a rule.
 
     Raises RuleParseError for malformed tokens, NotNonincreasingError when
-    the sequence increases anywhere, and ConstantRuleError when all scores
-    are equal.
+    the sequence increases anywhere, ConstantRuleError when all scores are
+    equal, and RuleTooLargeError when a canonical score would have more
+    than ``MAX_SCORE_DIGITS`` digits.
     """
     tokens = [t.strip() for t in text.split(",")]
     if tokens and tokens[-1] == "":
         tokens.pop()
     if not tokens or any(t == "" for t in tokens):
         raise RuleParseError(f"empty score token in {text!r}")
-    return ScoringRule(tuple(_to_fraction(t) for t in tokens))
+    rule = ScoringRule(tuple(_to_fraction(t) for t in tokens))
+    _canonical_ints(rule.scores)  # refuses a rule whose canonical scores are too long
+    return rule
+
+
+def _canonical_ints(scores: tuple[Fraction, ...]) -> list[int]:
+    """The scores shifted to end at 0 and scaled to coprime integers."""
+    scale = math.lcm(*[s.denominator for s in scores])
+    last = scores[-1].numerator * (scale // scores[-1].denominator)
+    ints = [s.numerator * (scale // s.denominator) - last for s in scores]
+    g = math.gcd(*ints)
+    if ints[0] // g >= _SCORE_LIMIT:
+        raise RuleTooLargeError(
+            f"canonical scores of more than {MAX_SCORE_DIGITS} digits are not supported"
+        )
+    return [v // g for v in ints]
 
 
 def canonicalize(rule: ScoringRule) -> ScoringRule:
     """Return the affine-equivalent integer rule with last score 0 and gcd 1.
 
     Idempotent, and every classification in this module is invariant under
-    it.  The integer form makes reports readable and hashable.
+    it.  The integer form makes reports readable and hashable.  Raises
+    RuleTooLargeError when the first (largest) canonical score has more than
+    ``MAX_SCORE_DIGITS`` digits.
     """
-    shifted = [s - rule.scores[-1] for s in rule.scores]
-    denom_lcm = math.lcm(*(s.denominator for s in shifted))
-    ints = [int(s * denom_lcm) for s in shifted]
-    g = math.gcd(*ints)
-    return ScoringRule(tuple(Fraction(v // g) for v in ints))
+    return ScoringRule(tuple(Fraction(v) for v in _canonical_ints(rule.scores)))
 
 
 def cox_threshold(rule: ScoringRule) -> Fraction:

@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 from . import verify as verify_mod
 from .analytic import Conclusion, Interval, cne_interval, flat_middle_analysis, prune_cluster_type
 from .errors import CompositionMismatchError, InternalVerificationError, TooManyCandidatesError
-from .lpcore import LEQ, GEQ, LinearProgram, LpOutcome, LpStatus, certifies, solve
+from .lpcore import GEQ, LEQ, LinearProgram, LpOutcome, LpStatus, certifies, solve, structural_rows
 from .profiles import Cluster, Profile, score_form
 from .rulekit import ScoringRule, canonicalize
 
@@ -139,10 +139,11 @@ def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
     """The max-min-gap LP whose strictly positive optimum certifies a
     nonconvergent equilibrium of the given type.
 
-    Variables are the q positions plus the gap delta.  Structural rows keep
-    the positions ordered with gap at least delta between neighbours and to
-    both boundaries (any equilibrium has strictly interior positions, so
-    this costs no solutions).  One row per mover and dominating-set target
+    Variables are the q positions plus the gap delta.  The structural rows
+    (``lpcore.structural_rows``, always first) keep the positions ordered
+    with gap at least delta between neighbours and to both boundaries (any
+    equilibrium has strictly interior positions, so this costs no
+    solutions).  One row per mover and dominating-set target
     requires the deviation score not to exceed the mover's current score.
     """
     q = ctype.q
@@ -152,19 +153,9 @@ def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
         )
     scores = rule.scores
     names = tuple(f"x{i + 1}" for i in range(q)) + ("delta",)
-    # Positions are >= delta >= 0 at any feasible point, so the solver may
-    # treat all variables as nonnegative.
-    lp = LinearProgram(
-        names, (ZERO,) * q + (ONE,), nonnegative=True
-    )
-
-    def unit(var: int) -> list[Fraction]:
-        return [ONE if i == var else ZERO for i in range(q)]
-
-    lp.add(unit(0) + [-ONE], GEQ, ZERO)  # x1 - delta >= 0
-    for l in range(q - 1):
-        lp.add([a - b for a, b in zip(unit(l + 1), unit(l))] + [-ONE], GEQ, ZERO)
-    lp.add([-c for c in unit(q - 1)] + [-ONE], GEQ, -ONE)  # 1 - xq >= delta
+    # LP variables are nonnegative, which costs no solutions here: the
+    # structural rows and delta >= 0 keep every position >= delta >= 0.
+    lp = LinearProgram(names, (ZERO,) * q + (ONE,), structural_rows(q))
     lp.add([ZERO] * q + [ONE], GEQ, ZERO)  # delta >= 0
 
     full = list(enumerate(ctype.parts))

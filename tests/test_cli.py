@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from scoreline import cli, parse_rule, search, verify
 from scoreline.cli import MAX_GRID, main
 
+# Every token is short, but the canonical integers have over 5,000 digits.
+_LONG_CANONICAL = ",".join(f"1/{10**89 + i}" for i in range(60)) + ",0"
+
 
 def run(capsys, *argv):
     try:
@@ -188,10 +191,14 @@ def test_byte_stability(capsys):
         ("bounds", "--rule", "1,0,0,0", "--seed", "1"),
         ("multipositional", "--rule", "1,0,0,0", "--q", "-2", "--r", "-2"),
         ("multipositional", "--rule", "1,0,0,0", "--q", "1", "--r", "4"),
+        ("classify", "--rule", _LONG_CANONICAL),
+        ("bounds", "--rule", _LONG_CANONICAL),
+        ("find-ncne", "--rule", _LONG_CANONICAL),
     ],
     ids=[
         "increasing-rule", "classify-csv", "removed-json", "removed-seed",
         "multipositional-negative-split", "multipositional-one-position",
+        "long-canonical-classify", "long-canonical-bounds", "long-canonical-find-ncne",
     ],
 )
 def test_invalid_rule_exits_two(capsys, argv):
@@ -340,7 +347,8 @@ def test_include_cne_flag(capsys):
 # search.MAX_M, where the command must refuse them before enumerating.
 _SCORE_TOKENS = st.sampled_from(
     ["0", "1", "2", "5", "12", "1/2", "7/2", "-1", "-0", "+2", "1/0", "0/0", "3/-4",
-     "1.5", "1e3", "1e5000", "9" * 101, "nan", "inf", "x", "", " 4 ", "١", "1_0", "0x1"]
+     "1.5", "1e3", "1e5000", "9" * 101, "nan", "inf", "x", "", " 4 ", "١", "1_0", "0x1",
+     _LONG_CANONICAL]
 )
 _RULES = st.one_of(
     st.lists(st.integers(0, 6), min_size=2, max_size=6).map(

@@ -1,4 +1,5 @@
-"""Exact simplex: basics, statuses, and agreement with vertex enumeration."""
+"""Exact deviation-LP solver: statuses, certificates, refusal of other LPs,
+and agreement with vertex enumeration."""
 
 import random
 from dataclasses import replace
@@ -6,57 +7,66 @@ from fractions import Fraction as F
 
 import pytest
 
-from scoreline import LinearProgram, LpStatus, solve
+from scoreline import ClusterType, LinearProgram, LpStatus, build_deviation_lp, parse_rule, solve
 from scoreline.errors import DimensionMismatchError
-from scoreline.lpcore import certifies, dump_text, satisfies
+from scoreline.lpcore import Constraint, certifies, dump_text, satisfies, structural_rows
 
-from util import brute_force_lp
+from util import brute_force_lp, random_rule
+
+
+def _deviation_lp(q, *rows):
+    """Objective delta, the structural rows, then ``rows``."""
+    lp = LinearProgram(
+        tuple(f"x{i + 1}" for i in range(q)) + ("delta",),
+        (F(0),) * q + (F(1),),
+        structural_rows(q),
+    )
+    for coeffs, relation, bound in rows:
+        lp.add(coeffs, relation, bound)
+    return lp
 
 
 def test_maximize_simple_bound():
-    lp = LinearProgram(("x",), (F(1),))
-    lp.add([1], "<=", 3)
+    lp = _deviation_lp(1, ([1, 0], "<=", F(1, 3)))
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
-    assert out.value == 3 and out.point == (F(3),)
+    assert out.value == F(1, 3) and out.point == (F(1, 3), F(1, 3))
+    assert certifies(lp, out)
 
 
 def test_infeasible():
-    lp = LinearProgram(("x",), (F(1),))
-    lp.add([1], ">=", 1)
-    lp.add([1], "<=", 0)
-    assert solve(lp).status is LpStatus.INFEASIBLE
-
-
-def test_unbounded():
-    lp = LinearProgram(("x",), (F(1),))
-    lp.add([1], ">=", 1)
-    assert solve(lp).status is LpStatus.UNBOUNDED
-
-
-def test_free_variables_go_negative():
-    lp = LinearProgram(("x",), (F(-1),))
-    lp.add([1], ">=", -5)
+    lp = _deviation_lp(1, ([0, 1], ">=", F(1, 2)), ([1, 0], "<=", F(1, 4)))
     out = solve(lp)
-    assert out.value == 5 and out.point == (F(-5),)
+    assert out.status is LpStatus.INFEASIBLE
+    assert certifies(lp, out)
 
 
-def test_equality_constraints():
-    lp = LinearProgram(("x", "y"), (F(1), F(1)), nonnegative=True)
-    lp.add([1, 1], "=", 2)
-    lp.add([1, 0], "<=", 1)
+def test_nonnegativity_holds_without_a_row_for_it():
+    """Without the row delta >= 0 the rows alone allow x1 = delta = -1, but
+    LP variables are nonnegative, so this LP is infeasible: the solver's
+    surplus columns, not the rows, exclude the negative point."""
+    lp = _deviation_lp(1, ([1, 0], "<=", -1))
     out = solve(lp)
-    assert out.status is LpStatus.OPTIMAL and out.value == 2
+    assert out.status is LpStatus.INFEASIBLE
+    assert certifies(lp, out)
 
 
 def test_fractional_data_stays_exact():
-    lp = LinearProgram(("x", "y"), (F(1, 3), F(1, 7)), nonnegative=True)
-    lp.add([F(2, 5), F(1)], "<=", F(9, 11))
-    lp.add([F(1), F(-1, 2)], "<=", F(4, 13))
-    out = solve(lp)
-    assert out.status is LpStatus.OPTIMAL
-    assert satisfies(lp, out.point)
-    assert all(isinstance(v, F) for v in out.point)
+    """The LPs of a rule with rational scores have rational rows; they are
+    solved exactly and agree with those of its canonical integer form,
+    whose rows describe the same feasible sets."""
+    raw = parse_rule("7/2,1,1/3,0")
+    canon = parse_rule("21,6,2,0")
+    for parts in [(4,), (1, 3), (2, 2), (3, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]:
+        lp = build_deviation_lp(raw, ClusterType(parts))
+        assert any(c.denominator > 1 for row in lp.constraints for c in row.coeffs)
+        out = solve(lp)
+        assert certifies(lp, out)
+        if out.status is LpStatus.OPTIMAL:
+            assert satisfies(lp, out.point)
+            assert all(isinstance(v, F) for v in out.point)
+        ref = solve(build_deviation_lp(canon, ClusterType(parts)))
+        assert (out.status, out.value) == (ref.status, ref.value)
 
 
 def test_dimension_mismatch():
@@ -64,6 +74,27 @@ def test_dimension_mismatch():
     lp.add([1], "<=", 3)
     with pytest.raises(DimensionMismatchError):
         solve(lp)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(("x",), (F(1),), [Constraint((F(1),), "<=", F(3))]),
+        LinearProgram(("x", "delta"), (F(1), F(0)), structural_rows(1)),
+        LinearProgram(("x", "delta"), (F(0), F(1)), structural_rows(1)[:1]),
+        LinearProgram(("x", "delta"), (F(0), F(1)), structural_rows(1)[::-1]),
+        LinearProgram(("x", "y", "delta"), (F(0), F(0), F(1)), structural_rows(1)),
+    ],
+    ids=["one-variable", "objective", "missing-row", "row-order", "wrong-q"],
+)
+def test_solve_refuses_non_deviation_lp(lp):
+    with pytest.raises(DimensionMismatchError):
+        solve(lp)
+
+
+def test_equality_rows_are_refused():
+    with pytest.raises(DimensionMismatchError):
+        _deviation_lp(2, ([1, 0, 0], "=", 1))
 
 
 def test_dump_text_roundtrips_content():
@@ -74,97 +105,64 @@ def test_dump_text_roundtrips_content():
 
 
 def test_determinism():
-    lp = LinearProgram(("x", "y", "z"), (F(1), F(1), F(1)), nonnegative=True)
-    lp.add([1, 1, 1], "<=", 6)
-    lp.add([1, -1, 0], ">=", -2)
-    lp.add([0, 1, 2], "<=", 5)
-    first = solve(lp)
-    for _ in range(5):
-        again = solve(lp)
-        assert again == first
+    rule = parse_rule("3,1,1,1,1,1,1,0")
+    for parts in [(2, 2, 2, 2), (2, 1, 1, 1, 1, 2), (1, 1, 2, 2, 2), (3, 5)]:
+        first = solve(build_deviation_lp(rule, ClusterType(parts)))
+        for _ in range(3):
+            assert solve(build_deviation_lp(rule, ClusterType(parts))) == first
 
 
-@pytest.mark.parametrize(
-    "seed, tall", [(11, False), (12, False), (13, False), (14, True)],
-    ids=["11", "12", "13", "tall-14"],
-)
-def test_agrees_with_vertex_enumeration(seed, tall):
-    """On random bounded LPs (<= 4 vars, <= 12 constraints) the simplex
-    optimum equals the brute-force vertex-enumeration optimum.  The tall
-    instances (nonnegative, inequality rows only, more rows than variables)
-    are solved through the dual and must also carry a valid certificate."""
+@pytest.mark.parametrize("seed", [14], ids=["tall-14"])
+def test_agrees_with_vertex_enumeration(seed):
+    """On the deviation LPs of every q <= 2 type of seeded rules with
+    m = 3..6 (q = 1 included), status and optimum equal the brute-force
+    vertex-enumeration answer, an optimal point satisfies every row, and
+    every negative answer (infeasible or gap <= 0) carries a certificate
+    that checks.  The structural rows bound every position to [0, 1], so
+    every feasible region is a polytope."""
     rng = random.Random(seed)
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        lp = LinearProgram(
-            tuple(f"x{i}" for i in range(n)),
-            tuple(F(rng.randint(-4, 4)) for _ in range(n)),
-            nonnegative=tall,
-        )
-        for _ in range(rng.randint(1, 12 - 2 * n)):
-            lp.add(
-                [F(rng.randint(-3, 3)) for _ in range(n)],
-                rng.choice(["<=", ">="] if tall else ["<=", ">=", "="]),
-                F(rng.randint(-6, 6)),
-            )
-        for i in range(n):  # box keeps every instance bounded
-            unit = [F(0)] * n
-            unit[i] = F(1)
-            lp.add(unit, "<=", 8)
-            # In the tall case this row is x_i >= 0 made explicit, so that
-            # vertex enumeration sees the nonnegativity faces.
-            lp.add(unit, ">=", 0 if tall else -8)
-        out = solve(lp)
-        feasible, best = brute_force_lp(lp)
-        if not feasible:
-            assert out.status is LpStatus.INFEASIBLE
-        else:
-            assert out.status is LpStatus.OPTIMAL
-            assert out.value == best
-            assert satisfies(lp, out.point)
-        assert certifies(lp, out) is tall
-
-
-def _tall(objective, *rows):
-    lp = LinearProgram(tuple(f"x{i}" for i in range(len(objective))),
-                       tuple(map(F, objective)), nonnegative=True)
-    for coeffs, relation, bound in rows:
-        lp.add(coeffs, relation, bound)
-    return lp
-
-
-def test_tall_unbounded_is_handed_to_the_primal():
-    # The dual is infeasible, so only the primal tells unbounded from
-    # infeasible.
-    lp = _tall((1, 1), ([1, -1], "<=", 1), ([-1, 1], "<=", 1), ([1, 0], ">=", 0))
-    out = solve(lp)
-    assert out.status is LpStatus.UNBOUNDED and out.certificate is None
-
-
-def test_tall_infeasible_with_infeasible_dual_is_handed_to_the_primal():
-    lp = _tall((1, 1), ([1, -1], "<=", -1), ([-1, 1], "<=", -1), ([-1, 0], "<=", 0))
-    out = solve(lp)
-    assert out.status is LpStatus.INFEASIBLE and out.certificate is None
+    kinds = set()
+    for _ in range(24):
+        rule = random_rule(rng, rng.randint(3, 6), top=rng.choice([3, 12]))
+        m = rule.m
+        for parts in [(m,)] + [(k, m - k) for k in range(1, m)]:
+            lp = build_deviation_lp(rule, ClusterType(parts))
+            out = solve(lp)
+            feasible, best = brute_force_lp(lp)
+            if not feasible:
+                assert out.status is LpStatus.INFEASIBLE
+                kinds.add("infeasible")
+            else:
+                assert out.status is LpStatus.OPTIMAL
+                assert out.value == best
+                assert satisfies(lp, out.point)
+                kinds.add("positive" if best > 0 else "zero")
+            if out.status is LpStatus.INFEASIBLE or out.value <= 0:
+                assert certifies(lp, out)
+    assert kinds == {"infeasible", "positive", "zero"}
 
 
 def test_tall_infeasible_carries_a_farkas_ray():
-    lp = _tall((1, 0), ([1, 1], ">=", 3), ([1, 0], "<=", 1), ([0, 1], "<=", 1))
+    lp = build_deviation_lp(parse_rule("1,0,0,0"), ClusterType((1, 3)))
     out = solve(lp)
-    assert out.status is LpStatus.INFEASIBLE
+    assert out.status is LpStatus.INFEASIBLE and out.point is None
     assert certifies(lp, out)
+    assert not certifies(lp, replace(out, certificate=tuple(F(0) for _ in out.certificate)))
+    assert not certifies(lp, replace(out, status=LpStatus.OPTIMAL))
 
 
 def test_tampered_certificate_is_rejected():
-    lp = _tall((1, 2), ([1, 1], "<=", 4), ([1, 0], "<=", 3), ([0, 1], ">=", 1))
+    lp = build_deviation_lp(parse_rule("1,0,0,0"), ClusterType((2, 2)))
     out = solve(lp)
-    assert out.status is LpStatus.OPTIMAL and out.value == 8
+    assert out.status is LpStatus.OPTIMAL and out.value == F(1, 4)
     assert certifies(lp, out)
     y = out.certificate
+    zero = y.index(0)
     for bad in (
-        replace(out, certificate=(y[0] - F(1, 2),) + y[1:]),  # A^T y < c
-        replace(out, certificate=(y[0] + 1,) + y[1:]),  # b.y above the optimum
+        replace(out, certificate=tuple(v / 2 for v in y)),  # A^T y < c
+        replace(out, certificate=tuple(v * 2 for v in y)),  # b.y above the optimum
         replace(out, certificate=y[:-1]),  # wrong length
-        replace(out, certificate=(-y[0],) + y[1:]),  # negative multiplier
+        replace(out, certificate=y[:zero] + (F(-1),) + y[zero + 1 :]),  # negative multiplier
         replace(out, value=out.value - 1),  # claimed optimum not certified
     ):
         assert not certifies(lp, bad)

@@ -22,9 +22,10 @@ from scoreline.errors import (
     ConstantRuleError,
     NotNonincreasingError,
     RuleParseError,
+    RuleTooLargeError,
     SubruleIndexError,
 )
-from scoreline.rulekit import ConstantSubrule
+from scoreline.rulekit import MAX_SCORE_DIGITS, MAX_TOKEN, ConstantSubrule
 
 from util import random_rule, random_weakly_concave_rule, rule_from_ints
 
@@ -72,6 +73,23 @@ def test_parse_rejects_malformed(text):
 def test_canonicalize(given_scores, canonical):
     rule = ScoringRule(tuple(F(s) for s in given_scores))
     assert canonicalize(rule).scores == tuple(F(c) for c in canonical)
+
+
+def test_canonical_score_length_is_bounded():
+    """Short tokens can make canonical scores too long to print; such a
+    rule is refused when parsed, and when canonicalised directly.  The
+    bound is exact: a canonical score of MAX_SCORE_DIGITS digits passes."""
+    text = ",".join(f"1/{10**89 + i}" for i in range(60)) + ",0"
+    assert all(len(t) <= MAX_TOKEN for t in text.split(","))
+    with pytest.raises(RuleTooLargeError):
+        parse_rule(text)
+    raw = ScoringRule(tuple(F(1, 10**89 + i) for i in range(60)) + (F(0),))
+    with pytest.raises(RuleTooLargeError):
+        canonicalize(raw)
+    longest = 10**MAX_SCORE_DIGITS - 1
+    assert canonicalize(ScoringRule((F(longest), F(1), F(0)))).scores[0] == longest
+    with pytest.raises(RuleTooLargeError):
+        canonicalize(ScoringRule((F(longest + 1), F(1), F(0))))
 
 
 def test_canonicalize_idempotent_on_samples():
