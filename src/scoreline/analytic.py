@@ -25,8 +25,10 @@ from .rulekit import (
     ScoringRule,
     canonicalize,
     cox_threshold,
+    is_borda_equivalent,
     plateaus,
     shape_profile,
+    subrule,
 )
 
 __all__ = [
@@ -171,7 +173,6 @@ def impossibility_verdicts(rule: ScoringRule) -> list[Verdict]:
       number of occupied positions cannot be staffed.
     """
     verdicts: list[Verdict] = []
-    s = rule.scores
     m = rule.m
     shape = shape_profile(rule)
     k, n = plateaus(rule)
@@ -180,12 +181,8 @@ def impossibility_verdicts(rule: ScoringRule) -> list[Verdict]:
         verdicts.append(_no_ne_or_no_ncne(rule, "leading-plateau", leading_run=k))
 
     if shape.convex:
-        head = s[: n + 1]
-        d = head[0] - head[1]
-        head_is_arithmetic = d > 0 and all(
-            head[i] - head[i + 1] == d for i in range(len(head) - 1)
-        )
-        if head_is_arithmetic and n + 1 <= m // 2:
+        # The head s_1..s_{n+1} always drops, so it is a rule of its own.
+        if n + 1 <= m // 2 and is_borda_equivalent(subrule(rule, 1, n)):
             verdicts.append(
                 Verdict(
                     Conclusion.INCONCLUSIVE,
@@ -218,10 +215,9 @@ def impossibility_verdicts(rule: ScoringRule) -> list[Verdict]:
     c = cox_threshold(rule)
     if m == 2:
         highly = False  # the even-m threshold 1 - 1/(m - 2) is undefined
-    elif m % 2 == 0:
-        highly = c > 1 - Fraction(1, m - 2) and s[m // 2 - 1] != s[m // 2]
     else:
-        highly = c > 1 - Fraction(1, m - 1) and s[(m - 1) // 2 - 1] != s[(m + 3) // 2 - 1]
+        threshold = 1 - Fraction(1, m - 2 if m % 2 == 0 else m - 1)
+        highly = c > threshold and _middle_scores_differ(rule)
     if highly:
         verdicts.append(_no_ne_or_no_ncne(rule, "highly-best-rewarding"))
 
@@ -238,20 +234,26 @@ class _PruneFacts:
     median_left: int | None  # candidates left of the admissible singleton (odd m)
 
 
+def _middle_scores_differ(rule: ScoringRule) -> bool:
+    """s_{m/2} != s_{m/2+1} for even m, s_{(m-1)/2} != s_{(m+3)/2} for odd m.
+
+    An unpaired candidate's payoff slope must vanish on both sides, which
+    pins these scores; when they differ, the only admissible singleton is
+    the median candidate (odd m).
+    """
+    s = rule.scores
+    m = rule.m
+    if m % 2 == 0:
+        return s[m // 2 - 1] != s[m // 2]
+    return s[(m - 1) // 2 - 1] != s[(m + 3) // 2 - 1]
+
+
 def _prune_facts(rule: ScoringRule) -> _PruneFacts:
     s = rule.scores
     m = rule.m
     k, _ = plateaus(rule)
-    # Unpaired candidates: a singleton's payoff slope must vanish on both
-    # sides, which pins the adjacent score pairs; when they differ, the only
-    # admissible singleton is the median candidate (odd m).
-    if m % 2 == 0:
-        singles_barred = s[m // 2 - 1] != s[m // 2]
-        median_left = None
-    else:
-        singles_barred = s[(m - 1) // 2 - 1] != s[(m + 3) // 2 - 1]
-        median_left = (m - 1) // 2
-    return _PruneFacts(k + 1, s[1] != s[m - 2], singles_barred, median_left)
+    median_left = (m - 1) // 2 if m % 2 else None
+    return _PruneFacts(k + 1, s[1] != s[m - 2], _middle_scores_differ(rule), median_left)
 
 
 # prune_cluster_type runs once per cluster type, 2^(m-1) times for one rule

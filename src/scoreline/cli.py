@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import analytic, search, verify
-from .errors import ScorelineError
+from .errors import ScorelineError, TooManyCandidatesError
 from .profiles import (
     AtCluster,
     FreePoint,
@@ -45,8 +45,11 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # verify --grid N probes N + 1 free points per mover, each an exact oracle
-# evaluation and a ledger entry; N = 10^4 takes about 1.6 s on a
-# two-cluster profile at m = 4 (Python 3.11, 2-CPU VM).
+# evaluation and a ledger entry.  N = 10^4 takes about 1.6 s on a
+# two-cluster profile at m = 4, but the worst profile verify admits, 20
+# singletons, has 20 movers and costs far more per probe: N = 1000 on
+# 1,0,...,0 at i/21 takes about 17 s, so N = 10^4 takes minutes (Python
+# 3.11, 2-CPU VM).
 MAX_GRID = 10_000
 
 
@@ -311,6 +314,12 @@ def _cmd_find_ncne(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     rule = parse_rule(args.rule)
     profile = _parse_profile(args.profile, rule)
+    if rule.m > search.MAX_M:
+        raise TooManyCandidatesError(
+            f"{rule.m} candidates is above the verify limit of {search.MAX_M} "
+            "(the oracle sorts every candidate in each of the O(m^2) cells of "
+            "every deviation, so its time grows steeply with m)"
+        )
     if args.grid is not None:
         report = verify.grid_cross_check(rule, profile, args.grid)
     else:

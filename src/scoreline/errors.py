@@ -60,7 +60,7 @@ class UnsupportedCandidateCountError(ScorelineError):
 
 
 class TooManyCandidatesError(ScorelineError):
-    """Rule has more candidates than the cluster-type search enumerates."""
+    """Rule has more candidates than the search or the oracle accepts."""
 
 
 class InternalVerificationError(ScorelineError):

@@ -28,19 +28,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import sub
 from typing import Callable, Iterator
 
 from . import verify as verify_mod
 from .analytic import Conclusion, Interval, cne_interval, flat_middle_analysis, prune_cluster_type
 from .errors import CompositionMismatchError, InternalVerificationError, TooManyCandidatesError
-from .lpcore import GEQ, LEQ, LinearProgram, LpOutcome, LpStatus, certifies, solve, structural_rows
+from .lpcore import LinearProgram, LpOutcome, LpStatus, certifies, solve, structural_rows
 from .profiles import Cluster, Profile, score_form
 from .rulekit import ScoringRule, canonicalize
 
 __all__ = [
     "ClusterType",
-    "TypeEntry",
     "TypeOutcome",
     "SearchOptions",
     "SearchResult",
@@ -50,9 +50,6 @@ __all__ = [
     "require_searchable",
     "MAX_M",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # A search enumerates, prunes and reports all 2^(m-1) cluster types, so
 # each further candidate doubles its time, memory and output.  With every
@@ -88,19 +85,23 @@ class ClusterType:
 
 
 @dataclass(frozen=True)
-class TypeEntry:
-    """One enumerated cluster type, tagged when a pruner rejected it."""
+class TypeOutcome:
+    """Search result for one cluster type."""
 
     ctype: ClusterType
     pruned: bool = False
     prune_reasons: tuple[str, ...] = ()
+    lp_outcome: LpOutcome | None = None
+    gap: Fraction | None = None
+    witness: Profile | None = None
+    is_equilibrium: bool = False
 
 
 def enumerate_cluster_types(
     m: int, pruner: Callable[[tuple[int, ...]], tuple[bool, list[str]]] | None = None
-) -> Iterator[TypeEntry]:
+) -> Iterator[TypeOutcome]:
     """All 2^(m-1) compositions of m, ordered by q then lexicographically,
-    yielded one at a time.
+    yielded one at a time as outcomes that are pruned or still open.
 
     Pruned types are yielded with their reasons so that reports can show
     why a type was never sent to the solver.
@@ -110,29 +111,38 @@ def enumerate_cluster_types(
     return _compositions(m, pruner)
 
 
-def _compositions(m: int, pruner) -> Iterator[TypeEntry]:
+def _compositions(m: int, pruner) -> Iterator[TypeOutcome]:
     for q in range(1, m + 1):
         for cuts in combinations(range(1, m), q - 1):
             edges = (0,) + cuts
             parts = tuple(map(sub, cuts + (m,), edges))
             if pruner is None:
-                yield TypeEntry(ClusterType(parts))
+                yield TypeOutcome(ClusterType(parts))
             else:
                 keep, reasons = pruner(parts)
-                yield TypeEntry(ClusterType(parts), not keep, tuple(reasons))
+                yield TypeOutcome(ClusterType(parts), not keep, tuple(reasons))
+
+
+def _row_scale(rule: ScoringRule) -> int:
+    """D = 2 lcm(1..m) lcm(score denominators), the common denominator of
+    every score form: a block mean has a denominator dividing its size
+    (at most m) times the scores' lcm, and a weight is a sum of halves of
+    differences of such means."""
+    return 2 * lcm(*range(1, rule.m + 1)) * lcm(*[s.denominator for s in rule.scores])
 
 
 def _score_row(
-    scores: tuple[Fraction, ...], stations: list[tuple[int, int]], idx: int, q: int
-) -> tuple[list[Fraction], Fraction]:
+    scores: tuple[Fraction, ...], stations: list[tuple[int, int]], idx: int, q: int, scale: int
+) -> tuple[list[int], int]:
     """Affine score of one member of stations[idx] over the q position
-    variables.  Stations are (variable, count) pairs in position order; a
-    limit mover shares its target's variable, so their weights add up."""
+    variables, times ``scale``.  Stations are (variable, count) pairs in
+    position order; a limit mover shares its target's variable, so their
+    weights add up."""
     const, weights = score_form(scores, [n for _, n in stations], idx)
-    coeffs = [ZERO] * q
+    coeffs = [0] * q
     for (var, _), w in zip(stations, weights):
-        coeffs[var] += w
-    return coeffs, const
+        coeffs[var] += w.numerator * (scale // w.denominator)
+    return coeffs, const.numerator * (scale // const.denominator)
 
 
 def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
@@ -144,7 +154,8 @@ def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
     with gap at least delta between neighbours and to both boundaries (any
     equilibrium has strictly interior positions, so this costs no
     solutions).  One row per mover and dominating-set target
-    requires the deviation score not to exceed the mover's current score.
+    requires the deviation score not to exceed the mover's current score;
+    its integer entries are the score differences times ``_row_scale(rule)``.
     """
     q = ctype.q
     if ctype.total != rule.m:
@@ -152,51 +163,39 @@ def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
             f"type {ctype} does not partition {rule.m} candidates"
         )
     scores = rule.scores
+    scale = _row_scale(rule)
     names = tuple(f"x{i + 1}" for i in range(q)) + ("delta",)
     # LP variables are nonnegative, which costs no solutions here: the
     # structural rows and delta >= 0 keep every position >= delta >= 0.
-    lp = LinearProgram(names, (ZERO,) * q + (ONE,), structural_rows(q))
-    lp.add([ZERO] * q + [ONE], GEQ, ZERO)  # delta >= 0
+    rows = structural_rows(q)
+    rows.append((0,) * q + (-1, 0))  # delta >= 0
 
     full = list(enumerate(ctype.parts))
-    seen: set[tuple] = set()
+    seen: set[tuple[int, ...]] = set()
     for j in range(q):
-        home, home_const = _score_row(scores, full, j, q)
+        home, home_const = _score_row(scores, full, j, q, scale)
         post = [(var, n - 1 if var == j else n) for var, n in full if (var, n) != (j, 1)]
         deviations = []
         for k, (var, n) in enumerate(post):
             if var != j:
                 joined = post[:k] + [(var, n + 1)] + post[k + 1 :]
-                deviations.append(_score_row(scores, joined, k, q))
+                deviations.append(_score_row(scores, joined, k, q, scale))
             # One-sided limits: the mover is listed just before station k
             # (left approach) or just after it (right approach).
-            deviations.append(_score_row(scores, post[:k] + [(var, 1)] + post[k:], k, q))
+            deviations.append(_score_row(scores, post[:k] + [(var, 1)] + post[k:], k, q, scale))
             deviations.append(
-                _score_row(scores, post[: k + 1] + [(var, 1)] + post[k + 1 :], k + 1, q)
+                _score_row(scores, post[: k + 1] + [(var, 1)] + post[k + 1 :], k + 1, q, scale)
             )
         for coeffs, const in deviations:
-            diff = tuple(a - b for a, b in zip(coeffs, home))
+            diff = [a - b for a, b in zip(coeffs, home)]
             bound = home_const - const
-            if all(c == 0 for c in diff) and bound >= 0:
+            if bound >= 0 and not any(diff):
                 continue  # vacuously satisfied
-            if (diff, bound) in seen:
-                continue
-            seen.add((diff, bound))
-            lp.add(diff + (ZERO,), LEQ, bound)
-    return lp
-
-
-@dataclass(frozen=True)
-class TypeOutcome:
-    """Search result for one cluster type."""
-
-    ctype: ClusterType
-    pruned: bool = False
-    prune_reasons: tuple[str, ...] = ()
-    lp_outcome: LpOutcome | None = None
-    gap: Fraction | None = None
-    witness: Profile | None = None
-    is_equilibrium: bool = False
+            row = tuple(diff + [0, bound])
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+    return LinearProgram(names, rows)
 
 
 @dataclass(frozen=True)
@@ -235,9 +234,10 @@ def _make_pruner(rule: ScoringRule):
     return pruner
 
 
-def _solve_type(rule: ScoringRule, entry: TypeEntry) -> TypeOutcome:
+def _solve_type(rule: ScoringRule, entry: TypeOutcome) -> TypeOutcome:
+    """Solve an enumerated type's LP; a pruned type is returned unchanged."""
     if entry.pruned:
-        return TypeOutcome(entry.ctype, True, entry.prune_reasons)
+        return entry
     lp = build_deviation_lp(rule, entry.ctype)
     outcome = solve(lp)
     gap = outcome.value if outcome.status is LpStatus.OPTIMAL else None

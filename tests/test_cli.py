@@ -260,23 +260,28 @@ def test_jobs_flag(capsys):
 
 
 @pytest.mark.parametrize("m", [search.MAX_M + 1, 40, 2000])
-@pytest.mark.parametrize("command", ["find-ncne", "scan"])
+@pytest.mark.parametrize("command", ["find-ncne", "scan", "verify"])
 def test_search_refuses_m_above_limit(tmp_path, capsys, monkeypatch, command, m):
-    def no_enumeration(*args):
-        raise AssertionError("enumeration started")
+    def not_started(*args):
+        raise AssertionError("enumeration or scoring started")
 
-    monkeypatch.setattr(search, "enumerate_cluster_types", no_enumeration)
+    monkeypatch.setattr(search, "enumerate_cluster_types", not_started)
+    monkeypatch.setattr(verify, "verify_profile", not_started)
     rule = ",".join(["1"] + ["0"] * (m - 1))
+    limit = "search"
     if command == "scan":  # every line is checked before the first search
         rules = tmp_path / "rules.txt"
         rules.write_text(f"1,0,0,0\n{rule}\n")
         argv = ("--rules-file", str(rules))
+    elif command == "verify":  # the oracle's cost, not enumeration, bounds m
+        argv = ("--rule", rule, "--profile", ";".join(f"{i + 1}/{m + 1}*1" for i in range(m)))
+        limit = "verify"
     else:
         argv = ("--rule", rule)
     code, out, err = run(capsys, command, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and f"above the search limit of {search.MAX_M}" in err
-    assert command == "find-ncne" or "rules.txt:2:" in err
+    assert err.startswith("error:") and f"above the {limit} limit of {search.MAX_M}" in err
+    assert command != "scan" or "rules.txt:2:" in err
     assert "Traceback" not in err
 
 

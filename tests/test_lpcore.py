@@ -9,25 +9,20 @@ import pytest
 
 from scoreline import ClusterType, LinearProgram, LpStatus, build_deviation_lp, parse_rule, solve
 from scoreline.errors import DimensionMismatchError
-from scoreline.lpcore import Constraint, certifies, dump_text, satisfies, structural_rows
+from scoreline.lpcore import certifies, dump_text, satisfies, structural_rows
 
 from util import brute_force_lp, random_rule
 
 
 def _deviation_lp(q, *rows):
-    """Objective delta, the structural rows, then ``rows``."""
-    lp = LinearProgram(
-        tuple(f"x{i + 1}" for i in range(q)) + ("delta",),
-        (F(0),) * q + (F(1),),
-        structural_rows(q),
+    """The structural rows, then the integer rows (a_1, ..., a_q, a_delta, b)."""
+    return LinearProgram(
+        tuple(f"x{i + 1}" for i in range(q)) + ("delta",), structural_rows(q) + list(rows)
     )
-    for coeffs, relation, bound in rows:
-        lp.add(coeffs, relation, bound)
-    return lp
 
 
 def test_maximize_simple_bound():
-    lp = _deviation_lp(1, ([1, 0], "<=", F(1, 3)))
+    lp = _deviation_lp(1, (3, 0, 1))  # 3 x1 <= 1
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == F(1, 3) and out.point == (F(1, 3), F(1, 3))
@@ -35,7 +30,7 @@ def test_maximize_simple_bound():
 
 
 def test_infeasible():
-    lp = _deviation_lp(1, ([0, 1], ">=", F(1, 2)), ([1, 0], "<=", F(1, 4)))
+    lp = _deviation_lp(1, (0, -2, -1), (4, 0, 1))  # delta >= 1/2, x1 <= 1/4
     out = solve(lp)
     assert out.status is LpStatus.INFEASIBLE
     assert certifies(lp, out)
@@ -45,21 +40,21 @@ def test_nonnegativity_holds_without_a_row_for_it():
     """Without the row delta >= 0 the rows alone allow x1 = delta = -1, but
     LP variables are nonnegative, so this LP is infeasible: the solver's
     surplus columns, not the rows, exclude the negative point."""
-    lp = _deviation_lp(1, ([1, 0], "<=", -1))
+    lp = _deviation_lp(1, (1, 0, -1))
     out = solve(lp)
     assert out.status is LpStatus.INFEASIBLE
     assert certifies(lp, out)
 
 
 def test_fractional_data_stays_exact():
-    """The LPs of a rule with rational scores have rational rows; they are
-    solved exactly and agree with those of its canonical integer form,
-    whose rows describe the same feasible sets."""
+    """A rule with rational scores gets integer rows over a common
+    denominator that clears its score denominators; they equal the rows of
+    its canonical integer form (gcd 1), and are solved exactly."""
     raw = parse_rule("7/2,1,1/3,0")
     canon = parse_rule("21,6,2,0")
     for parts in [(4,), (1, 3), (2, 2), (3, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]:
         lp = build_deviation_lp(raw, ClusterType(parts))
-        assert any(c.denominator > 1 for row in lp.constraints for c in row.coeffs)
+        assert lp.constraints == build_deviation_lp(canon, ClusterType(parts)).constraints
         out = solve(lp)
         assert certifies(lp, out)
         if out.status is LpStatus.OPTIMAL:
@@ -70,8 +65,7 @@ def test_fractional_data_stays_exact():
 
 
 def test_dimension_mismatch():
-    lp = LinearProgram(("x", "y"), (F(1), F(0)))
-    lp.add([1], "<=", 3)
+    lp = _deviation_lp(1, (1, 3))
     with pytest.raises(DimensionMismatchError):
         solve(lp)
 
@@ -79,29 +73,23 @@ def test_dimension_mismatch():
 @pytest.mark.parametrize(
     "lp",
     [
-        LinearProgram(("x",), (F(1),), [Constraint((F(1),), "<=", F(3))]),
-        LinearProgram(("x", "delta"), (F(1), F(0)), structural_rows(1)),
-        LinearProgram(("x", "delta"), (F(0), F(1)), structural_rows(1)[:1]),
-        LinearProgram(("x", "delta"), (F(0), F(1)), structural_rows(1)[::-1]),
-        LinearProgram(("x", "y", "delta"), (F(0), F(0), F(1)), structural_rows(1)),
+        LinearProgram(("x",), [(1, 3)]),
+        LinearProgram(("x", "delta"), structural_rows(1)[:1]),
+        LinearProgram(("x", "delta"), structural_rows(1)[::-1]),
+        LinearProgram(("x", "y", "delta"), structural_rows(1)),
     ],
-    ids=["one-variable", "objective", "missing-row", "row-order", "wrong-q"],
+    ids=["one-variable", "missing-row", "row-order", "wrong-q"],
 )
 def test_solve_refuses_non_deviation_lp(lp):
     with pytest.raises(DimensionMismatchError):
         solve(lp)
 
 
-def test_equality_rows_are_refused():
-    with pytest.raises(DimensionMismatchError):
-        _deviation_lp(2, ([1, 0, 0], "=", 1))
-
-
 def test_dump_text_roundtrips_content():
-    lp = LinearProgram(("x", "y"), (F(1), F(2)))
-    lp.add([1, -1], "<=", F(1, 2))
+    lp = _deviation_lp(1, (2, -1, 1))
     text = dump_text(lp)
-    assert "<= 1/2" in text and text.startswith("max")
+    assert text.startswith("max delta")
+    assert "+ 2*x1 - 1*delta <= 1" in text and text.count("\n") == len(lp.constraints)
 
 
 def test_determinism():

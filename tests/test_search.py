@@ -309,8 +309,12 @@ def test_twelve_candidate_search_rediscovers_asymmetric_pair():
 
 def test_deviation_rows_match_oracle_ledger():
     """Every deviation row of the LP, evaluated at strictly ordered interior
-    positions, equals minus the slack of some entry in the independent
-    oracle's ledger, and the rows all hold exactly at an equilibrium."""
+    positions, equals D times minus the slack of some entry in the
+    independent oracle's ledger, D = 2 lcm(1..m) being the rows' common
+    denominator for an integer rule, and the rows all hold exactly at an
+    equilibrium."""
+    from math import lcm
+
     from scoreline import Cluster, Profile
 
     rng = random.Random(27)
@@ -328,11 +332,12 @@ def test_deviation_rows_match_oracle_ledger():
         )
         lp = build_deviation_lp(rule, ClusterType(tuple(counts)))
         values = [
-            sum(c * x for c, x in zip(row.coeffs, positions)) - row.bound
+            sum(c * x for c, x in zip(row, positions)) - row[-1]
             for row in lp.constraints[q + 2 :]
         ]
         report = verify_profile(rule, profile)
-        deficits = {-e.slack for e in report.ledger}
+        scale = 2 * lcm(*range(1, m + 1))
+        deficits = {-e.slack * scale for e in report.ledger}
         assert all(v in deficits for v in values)
         holds = all(v <= 0 for v in values)
         assert holds == (report.status is Status.EQUILIBRIUM)

@@ -188,14 +188,13 @@ def brute_force_lp(lp: LinearProgram):
     best = None
     feasible = False
     for subset in itertools.combinations(range(len(rows)), n):
-        A = [rows[i].coeffs for i in subset]
-        b = [rows[i].bound for i in subset]
+        A = [rows[i][:n] for i in subset]
+        b = [rows[i][n] for i in subset]
         x = _gauss_solve(A, b)
         if x is None:
             continue
         if satisfies(lp, x):
             feasible = True
-            value = sum(c * xx for c, xx in zip(lp.objective, x))
-            if best is None or value > best:
-                best = value
+            if best is None or x[-1] > best:  # the objective is delta
+                best = x[-1]
     return feasible, best
