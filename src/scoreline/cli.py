@@ -3,8 +3,10 @@
 Every command prints a single JSON document to stdout (CSV is available
 for the tabular commands).  All numbers are serialised as exact fraction
 strings like ``"13/28"``; nothing is ever rounded.  Exit codes: 0 on
-success, 2 on invalid input, 3 when a computed witness fails the
-independent oracle (which indicates a bug, not bad input).
+success, 2 on invalid input or when stdout is closed before the output is
+written (say by ``| head``; no traceback is printed), 3 when a computed
+witness fails the independent oracle (which indicates a bug, not bad
+input).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -557,12 +560,19 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if "csv" in document and len(document) == 1:
-        sys.stdout.write(document["csv"])
-    else:
-        if args.timing:
-            document["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-        _write_json(document, sys.stdout)
+    try:
+        if "csv" in document and len(document) == 1:
+            sys.stdout.write(document["csv"])
+        else:
+            if args.timing:
+                document["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
+            _write_json(document, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so that
+        # the interpreter's final flush of what is left cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     return code
 
 

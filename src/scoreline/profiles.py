@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from .errors import (
@@ -161,15 +162,46 @@ def make_profile(entries, rule: ScoringRule) -> Profile:
     return Profile(clusters)
 
 
-def _block_mean(scores: tuple[Fraction, ...], ahead: int, size: int) -> Fraction:
-    """Mean score of a block of ``size`` ranked behind ``ahead`` candidates."""
-    return sum(scores[ahead : ahead + size]) / size
+@dataclass(frozen=True)
+class ScoreTable:
+    """A rule's scores in the integers that :func:`score_form` reads.
+
+    With L the lcm of the score denominators and D = 2·lcm(1..m)·L,
+    ``prefix[i]`` is L times the sum of the first i scores and
+    ``per_size[n]`` is 2·lcm(1..m) // n, so the mean of the n scores behind
+    ``a`` candidates, times D, is ``per_size[n] * (prefix[a + n] - prefix[a])``.
+    That is an even integer, so every half-difference of two means is exact.
+    """
+
+    prefix: tuple[int, ...]
+    per_size: tuple[int, ...]
+    denominator: int
 
 
-def score_form(
-    scores: tuple[Fraction, ...], counts: list[int], idx: int
-) -> tuple[Fraction, list[Fraction]]:
-    """Score of one member of station ``idx`` as ``const + sum(w[i] * x_i)``.
+_last_table: tuple[tuple, ScoreTable] | None = None
+
+
+def score_table(scores: tuple[Fraction, ...]) -> ScoreTable:
+    """The :class:`ScoreTable` of a score vector.  The last one is kept and
+    handed back for the same or an equal vector."""
+    global _last_table
+    cached = _last_table
+    if cached is not None and (cached[0] is scores or cached[0] == scores):
+        return cached[1]
+    scale = lcm(*[s.denominator for s in scores])
+    prefix = [0]
+    for s in scores:
+        prefix.append(prefix[-1] + s.numerator * (scale // s.denominator))
+    block = 2 * lcm(*range(1, len(scores) + 1))
+    per_size = (0,) + tuple(block // n for n in range(1, len(scores) + 1))
+    table = ScoreTable(tuple(prefix), per_size, block * scale)
+    _last_table = (scores, table)
+    return table
+
+
+def score_form(table: ScoreTable, counts: tuple[int, ...], idx: int) -> tuple[int, list[int]]:
+    """Score of one member of station ``idx``, times ``table.denominator``,
+    as ``const + sum(w[i] * x_i)`` with integer ``const`` and ``w``.
 
     Stations are listed in position order with their counts; ``x_i`` is the
     position of station i, and the result is ``(const, w)``.  Regions are
@@ -187,16 +219,18 @@ def score_form(
     mover ahead of the residents on its approach side and behind them on
     the far side.
     """
-    weights = [ZERO] * len(counts)
+    prefix = table.prefix
     size = counts[idx]
+    per = table.per_size[size]
+    weights = [0] * len(counts)
     closer = sum(counts[:idx])
-    mean = _block_mean(scores, closer, size)
+    mean = per * (prefix[closer + size] - prefix[closer])
     for k, count in enumerate(counts):
         if k == idx:
             continue
         closer += count if k > idx else -count
-        after = _block_mean(scores, closer, size)
-        half = (mean - after) / 2
+        after = per * (prefix[closer + size] - prefix[closer])
+        half = (mean - after) // 2
         weights[idx] += half
         weights[k] += half
         mean = after
@@ -204,9 +238,15 @@ def score_form(
 
 
 def _score_at(scores: tuple[Fraction, ...], clusters: tuple[Cluster, ...], idx: int) -> Fraction:
-    """Evaluate :func:`score_form` at the clusters' positions."""
-    const, weights = score_form(scores, [c.count for c in clusters], idx)
-    return const + sum(w * c.position for w, c in zip(weights, clusters))
+    """Evaluate :func:`score_form` at the clusters' positions, on integers
+    over the lcm of the position denominators, and divide once."""
+    table = score_table(scores)
+    const, weights = score_form(table, tuple(c.count for c in clusters), idx)
+    scale = lcm(*[c.position.denominator for c in clusters])
+    total = const * scale
+    for w, c in zip(weights, clusters):
+        total += w * c.position.numerator * (scale // c.position.denominator)
+    return Fraction(total, table.denominator * scale)
 
 
 def _depart(profile: Profile, mover_cluster: int) -> tuple[Cluster, ...]:

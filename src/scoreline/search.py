@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import sub
 from typing import Callable, Iterator
 
@@ -36,7 +35,7 @@ from . import verify as verify_mod
 from .analytic import Conclusion, Interval, cne_interval, flat_middle_analysis, prune_cluster_type
 from .errors import CompositionMismatchError, InternalVerificationError, TooManyCandidatesError
 from .lpcore import LinearProgram, LpOutcome, LpStatus, certifies, solve, structural_rows
-from .profiles import Cluster, Profile, score_form
+from .profiles import Cluster, Profile, ScoreTable, score_form, score_table
 from .rulekit import ScoringRule, canonicalize
 
 __all__ = [
@@ -123,26 +122,11 @@ def _compositions(m: int, pruner) -> Iterator[TypeOutcome]:
                 yield TypeOutcome(ClusterType(parts), not keep, tuple(reasons))
 
 
-def _row_scale(rule: ScoringRule) -> int:
-    """D = 2 lcm(1..m) lcm(score denominators), the common denominator of
-    every score form: a block mean has a denominator dividing its size
-    (at most m) times the scores' lcm, and a weight is a sum of halves of
-    differences of such means."""
-    return 2 * lcm(*range(1, rule.m + 1)) * lcm(*[s.denominator for s in rule.scores])
-
-
-def _score_row(
-    scores: tuple[Fraction, ...], stations: list[tuple[int, int]], idx: int, q: int, scale: int
-) -> tuple[list[int], int]:
-    """Affine score of one member of stations[idx] over the q position
-    variables, times ``scale``.  Stations are (variable, count) pairs in
-    position order; a limit mover shares its target's variable, so their
-    weights add up."""
-    const, weights = score_form(scores, [n for _, n in stations], idx)
-    coeffs = [0] * q
-    for (var, _), w in zip(stations, weights):
-        coeffs[var] += w.numerator * (scale // w.denominator)
-    return coeffs, const.numerator * (scale // const.denominator)
+# Score forms of the last rule an LP was built for, keyed on (counts,
+# idx), with the score table they were read from.  ``score_table`` hands
+# back the same table for an equal score vector, so a worker process that
+# is sent a new rule object with every type still reuses the forms.
+_forms: tuple[ScoreTable, dict] | None = None
 
 
 def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
@@ -154,47 +138,69 @@ def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
     with gap at least delta between neighbours and to both boundaries (any
     equilibrium has strictly interior positions, so this costs no
     solutions).  One row per mover and dominating-set target
-    requires the deviation score not to exceed the mover's current score;
-    its integer entries are the score differences times ``_row_scale(rule)``.
+    requires the deviation score not to exceed the mover's current score.
+    Its integer entries are the score differences times D =
+    2·lcm(1..m)·lcm(score denominators): the integer score forms of
+    ``profiles.score_form``, memoised per rule, with each station's weight
+    added to its position variable.
     """
+    global _forms
     q = ctype.q
     if ctype.total != rule.m:
         raise CompositionMismatchError(
             f"type {ctype} does not partition {rule.m} candidates"
         )
-    scores = rule.scores
-    scale = _row_scale(rule)
+    table = score_table(rule.scores)
+    if _forms is None or _forms[0] is not table:
+        _forms = (table, {})
+    forms = _forms[1]
+
+    def form(counts: tuple[int, ...], idx: int) -> tuple[int, list[int]]:
+        key = (counts, idx)
+        found = forms.get(key)
+        if found is None:
+            found = forms[key] = score_form(table, counts, idx)
+        return found
+
     names = tuple(f"x{i + 1}" for i in range(q)) + ("delta",)
     # LP variables are nonnegative, which costs no solutions here: the
     # structural rows and delta >= 0 keep every position >= delta >= 0.
     rows = structural_rows(q)
     rows.append((0,) * q + (-1, 0))  # delta >= 0
 
-    full = list(enumerate(ctype.parts))
+    parts = ctype.parts
+    every = tuple(range(q))
     seen: set[tuple[int, ...]] = set()
     for j in range(q):
-        home, home_const = _score_row(scores, full, j, q, scale)
-        post = [(var, n - 1 if var == j else n) for var, n in full if (var, n) != (j, 1)]
-        deviations = []
-        for k, (var, n) in enumerate(post):
+        home_const, home = form(parts, j)
+        minus_home = [-w for w in home] + [0]
+        # Stations after the mover leaves: their position variables and counts.
+        if parts[j] == 1:
+            post_vars, post = every[:j] + every[j + 1 :], parts[:j] + parts[j + 1 :]
+        else:
+            post_vars, post = every, parts[:j] + (parts[j] - 1,) + parts[j + 1 :]
+        for k, var in enumerate(post_vars):
+            # One-sided limits: the mover is its own station at x_var, listed
+            # just before station k (left approach) or just after it (right).
+            limit_vars = post_vars[:k] + (var,) + post_vars[k:]
+            targets = []
             if var != j:
-                joined = post[:k] + [(var, n + 1)] + post[k + 1 :]
-                deviations.append(_score_row(scores, joined, k, q, scale))
-            # One-sided limits: the mover is listed just before station k
-            # (left approach) or just after it (right approach).
-            deviations.append(_score_row(scores, post[:k] + [(var, 1)] + post[k:], k, q, scale))
-            deviations.append(
-                _score_row(scores, post[: k + 1] + [(var, 1)] + post[k + 1 :], k + 1, q, scale)
-            )
-        for coeffs, const in deviations:
-            diff = [a - b for a, b in zip(coeffs, home)]
-            bound = home_const - const
-            if bound >= 0 and not any(diff):
-                continue  # vacuously satisfied
-            row = tuple(diff + [0, bound])
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
+                targets.append((post_vars, post[:k] + (post[k] + 1,) + post[k + 1 :], k))
+            targets.append((limit_vars, post[:k] + (1,) + post[k:], k))
+            targets.append((limit_vars, post[: k + 1] + (1,) + post[k + 1 :], k + 1))
+            for stations, counts, idx in targets:
+                const, weights = form(counts, idx)
+                row = minus_home.copy()
+                for v, w in zip(stations, weights):
+                    row[v] += w
+                bound = home_const - const
+                if bound >= 0 and not any(row):
+                    continue  # vacuously satisfied
+                row.append(bound)
+                row = tuple(row)
+                if row not in seen:
+                    seen.add(row)
+                    rows.append(row)
     return LinearProgram(names, rows)
 
 

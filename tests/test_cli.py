@@ -5,14 +5,18 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scoreline
 from scoreline import cli, parse_rule, search, verify
-from scoreline.cli import MAX_GRID, main
+from scoreline.cli import EXIT_USAGE, MAX_GRID, main
 
 # Every token is short, but the canonical integers have over 5,000 digits.
 _LONG_CANONICAL = ",".join(f"1/{10**89 + i}" for i in range(60)) + ",0"
@@ -257,6 +261,67 @@ def test_unknown_command_exits_two(capsys):
 def test_jobs_flag(capsys):
     doc = run_json(capsys, "find-ncne", "--rule", "1,0,0,0", "--jobs", "2")
     assert doc["result"]["ncne_types"] == [[2, 2]]
+
+
+def _spawn(argv, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(scoreline.__file__).parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "scoreline.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def test_stdout_closed_before_writing_exits_quietly():
+    """A reader that is gone before anything is written: the small
+    document fails at the final flush."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _spawn(["verify", "--rule", "1,0,0", "--profile", "1/4*1;1/2*1;3/4*1"], write_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert proc.returncode == EXIT_USAGE
+
+
+def test_stdout_closed_while_writing_exits_quietly():
+    """``find-ncne ... | head -3``: 15 MB of JSON, the reader leaves after
+    three lines, so a write in the middle of the document fails."""
+    proc = _spawn(["find-ncne", "--rule", "5,5,5,5,5,5,5,5,4,3,2,1,1,0,0,0"], subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert head[0] == b"{\n"
+    assert b"Traceback" not in err
+    assert proc.returncode == EXIT_USAGE
+
+
+def test_search_calls_builder_and_solver_by_module_name(monkeypatch, capsys):
+    """The search looks up ``build_deviation_lp`` and ``solve`` as attributes
+    of ``search`` at call time, once per unpruned type each, so wrappers
+    put there (as the benchmark's spans are) see every call."""
+    calls = {"build": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(search, "build_deviation_lp", counting("build", search.build_deviation_lp))
+    monkeypatch.setattr(search, "solve", counting("solve", search.solve))
+    run_json(capsys, "find-ncne", "--no-prune", "--rule", "3,1,1,1,1,0")
+    assert calls == {"build": 31, "solve": 31}
+
+
+def test_jobs_output_is_byte_identical(capsys):
+    argv = ["find-ncne", "--no-prune", "--rule", "3,1,1,1,1,1,1,0"]
+    code, serial, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    assert run(capsys, *argv, "--jobs", "2") == (0, serial, "")
 
 
 @pytest.mark.parametrize("m", [search.MAX_M + 1, 40, 2000])

@@ -31,7 +31,7 @@ from scoreline.errors import (
 )
 from scoreline.lpcore import certifies, satisfies
 
-from util import random_rule
+from util import random_rule, reference_deviation_rows
 
 
 def test_enumerate_counts():
@@ -343,6 +343,65 @@ def test_deviation_rows_match_oracle_ledger():
         assert holds == (report.status is Status.EQUILIBRIUM)
         equilibria += holds
     assert equilibria > 0
+
+
+def _row_identity_rules():
+    """About 40 seeded rules, m = 3..9, each as given and canonical.  Every
+    third one has rational scores; the integer ones are shifted and scaled
+    at random, so the raw and canonical objects differ."""
+    rng = random.Random(28)
+    rules = [parse_rule("7/2,1,1/3,0")]
+    for i in range(39):
+        m = 3 + i % 7
+        if i % 3 == 0:
+            while True:
+                scores = sorted(
+                    (F(rng.randint(0, 30), rng.choice([1, 2, 3, 5, 7])) for _ in range(m)),
+                    reverse=True,
+                )
+                if scores[0] > scores[-1]:
+                    break
+            rules.append(ScoringRule(tuple(scores)))
+        else:
+            base = random_rule(rng, m)
+            factor, shift = rng.randint(1, 3), rng.randint(0, 2)
+            rules.append(ScoringRule(tuple(factor * s + shift for s in base.scores)))
+    return [(rule, canonicalize(rule)) for rule in rules]
+
+
+def test_builder_rows_match_fraction_reference():
+    """build_deviation_lp writes, in order, the rows that the Fraction
+    region walk with per-term conversion wrote, for every q <= 5 type.
+    Rules are visited A, B, A (each case's raw rule again after the next
+    case), so rows built from another rule's memoised forms would show."""
+    cases = _row_identity_rules()
+    assert any(raw.scores != canon.scores for raw, canon in cases)
+    assert any(s.denominator > 1 for raw, _ in cases for s in raw.scores)
+    expected = {}
+    visits = []
+    for i, (raw, canon) in enumerate(cases):
+        visits += [raw, canon] + ([cases[i - 1][0]] if i else [])
+    for rule in visits:
+        types = [
+            e.ctype for e in enumerate_cluster_types(rule.m) if e.ctype.q <= 5
+        ]
+        if id(rule) not in expected:
+            expected[id(rule)] = [reference_deviation_rows(rule, t.parts) for t in types]
+        for ctype, rows in zip(types, expected[id(rule)]):
+            assert build_deviation_lp(rule, ctype).constraints == rows, (rule, ctype)
+
+
+def test_score_forms_are_reused_for_an_equal_rule_object():
+    """A --jobs worker gets a new rule object with every type; equal scores
+    must still find the forms memoised for the last rule."""
+    scores = canonicalize(parse_rule("3,1,1,1,1,0")).scores
+    build_deviation_lp(ScoringRule(scores), ClusterType((2, 2, 2)))
+    memo = search._forms
+    lp = build_deviation_lp(ScoringRule(tuple(F(s) for s in scores)), ClusterType((2, 2, 2)))
+    assert search._forms is memo
+    assert lp.constraints == reference_deviation_rows(ScoringRule(scores), (2, 2, 2))
+    build_deviation_lp(parse_rule("3,2,1,0"), ClusterType((2, 2)))
+    assert search._forms is not memo
 
 
 def test_six_candidate_characterization_agrees_with_search():

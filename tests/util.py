@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from scoreline import (
     Cluster,
@@ -19,7 +20,7 @@ from scoreline import (
     cox_threshold,
     shape_profile,
 )
-from scoreline.lpcore import satisfies
+from scoreline.lpcore import satisfies, structural_rows
 
 F = Fraction
 
@@ -198,3 +199,75 @@ def brute_force_lp(lp: LinearProgram):
             if best is None or x[-1] > best:  # the objective is delta
                 best = x[-1]
     return feasible, best
+
+
+def _fraction_score_form(scores, counts, idx):
+    """The region walk on Fractions, as the builder once ran it: the score
+    of one member of station ``idx`` as ``const + sum(w[i] * x_i)``."""
+    def block_mean(ahead, size):
+        return sum(scores[ahead : ahead + size]) / size
+
+    weights = [F(0)] * len(counts)
+    size = counts[idx]
+    closer = sum(counts[:idx])
+    mean = block_mean(closer, size)
+    for k, count in enumerate(counts):
+        if k == idx:
+            continue
+        closer += count if k > idx else -count
+        after = block_mean(closer, size)
+        half = (mean - after) / 2
+        weights[idx] += half
+        weights[k] += half
+        mean = after
+    return mean, weights
+
+
+# Fraction score forms per score vector and (counts, idx), kept only so
+# that the reference stays quick enough to run over many rules.
+_FRACTION_FORMS: dict[tuple, dict] = {}
+
+
+def reference_deviation_rows(rule: ScoringRule, parts) -> list[tuple[int, ...]]:
+    """The rows of ``build_deviation_lp(rule, ClusterType(parts))`` as the
+    builder wrote them from Fraction score forms, converting each term to
+    an integer over D = 2 lcm(1..m) lcm(score denominators)."""
+    scores = rule.scores
+    q = len(parts)
+    scale = 2 * lcm(*range(1, rule.m + 1)) * lcm(*[s.denominator for s in scores])
+
+    forms = _FRACTION_FORMS.setdefault(scores, {})
+
+    def score_row(stations, idx):
+        key = (tuple(n for _, n in stations), idx)
+        if key not in forms:
+            forms[key] = _fraction_score_form(scores, key[0], idx)
+        const, weights = forms[key]
+        coeffs = [0] * q
+        for (var, _), w in zip(stations, weights):
+            coeffs[var] += w.numerator * (scale // w.denominator)
+        return coeffs, const.numerator * (scale // const.denominator)
+
+    rows = structural_rows(q)
+    rows.append((0,) * q + (-1, 0))
+    full = list(enumerate(parts))
+    seen = set()
+    for j in range(q):
+        home, home_const = score_row(full, j)
+        post = [(var, n - 1 if var == j else n) for var, n in full if (var, n) != (j, 1)]
+        deviations = []
+        for k, (var, n) in enumerate(post):
+            if var != j:
+                deviations.append(score_row(post[:k] + [(var, n + 1)] + post[k + 1 :], k))
+            deviations.append(score_row(post[:k] + [(var, 1)] + post[k:], k))
+            deviations.append(score_row(post[: k + 1] + [(var, 1)] + post[k + 1 :], k + 1))
+        for coeffs, const in deviations:
+            diff = [a - b for a, b in zip(coeffs, home)]
+            bound = home_const - const
+            if bound >= 0 and not any(diff):
+                continue
+            row = tuple(diff + [0, bound])
+            if row not in seen:
+                seen.add(row)
+                rows.append(row)
+    return rows
