@@ -571,7 +571,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader went away (``| head``).  Point stdout at devnull so that
         # the interpreter's final flush of what is left cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
     return code
 

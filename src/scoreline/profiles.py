@@ -167,10 +167,11 @@ class ScoreTable:
     """A rule's scores in the integers that :func:`score_form` reads.
 
     With L the lcm of the score denominators and D = 2·lcm(1..m)·L,
-    ``prefix[i]`` is L times the sum of the first i scores and
-    ``per_size[n]`` is 2·lcm(1..m) // n, so the mean of the n scores behind
-    ``a`` candidates, times D, is ``per_size[n] * (prefix[a + n] - prefix[a])``.
-    That is an even integer, so every half-difference of two means is exact.
+    ``prefix[i]`` is L times the sum of the first i scores and, for
+    n >= 1, ``per_size[n]`` is 2·lcm(1..m) // n.  The mean of the n scores
+    behind ``a`` candidates, times D, is then
+    ``per_size[n] * (prefix[a + n] - prefix[a])``, an even integer, so
+    every half-difference of two means is exact.
     """
 
     prefix: tuple[int, ...]
