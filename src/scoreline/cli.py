@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import analytic, search, verify
-from .errors import ScorelineError, TooManyCandidatesError
+from .errors import InternalVerificationError, ScorelineError, TooManyCandidatesError
 from .profiles import (
     AtCluster,
     FreePoint,
@@ -302,7 +302,6 @@ def _cmd_find_ncne(args) -> tuple[int, dict]:
     options = search.SearchOptions(
         prune=not args.no_prune,
         include_single_cluster=args.include_cne,
-        jobs=args.jobs,
     )
     result = search.find_ncne(rule, options)
     witnesses = result.witnesses()
@@ -394,7 +393,7 @@ def _cmd_scan(args) -> tuple[int, dict]:
     rows = []
     for text, rule in rules:
         rc = classify(rule)
-        result = search.find_ncne(rule, search.SearchOptions(jobs=args.jobs))
+        result = search.find_ncne(rule)
         rows.append(
             {
                 "rule": text,
@@ -461,10 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rule=True):
+    def add_common(p, rule=True, svg=False):
         if rule:
             p.add_argument("--rule", required=True, help="comma-separated scores, e.g. '1,0,0,0' or '1,2/5,0,0'")
-        p.add_argument("--svg", metavar="PATH", help="write a number-line diagram of the profile/witness")
+        if svg:
+            p.add_argument("--svg", metavar="PATH", help="write a number-line diagram of the profile/witness")
         p.add_argument("--timing", action="store_true", help="add wall-clock timing (breaks byte-stability)")
 
     p = sub.add_parser("classify", help="rule class, threshold and score shape")
@@ -482,29 +482,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "find-ncne", help=f"LP search over all cluster types, at most {search.MAX_M} candidates"
     )
-    add_common(p)
+    add_common(p, svg=True)
     p.add_argument("--csv", action="store_true", help="CSV output, one row per type")
     p.add_argument("--no-prune", action="store_true", help="solve every type, skipping the prune tests")
     p.add_argument("--include-cne", action="store_true", help="also solve the single-cluster type")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the types that need an LP")
     p.set_defaults(func=_cmd_find_ncne)
 
     p = sub.add_parser("verify", help="certify or refute a profile")
-    add_common(p)
+    add_common(p, svg=True)
     p.add_argument("--profile", required=True, help="semicolon-separated position*count, e.g. '13/28*8;41/84*4'")
     p.add_argument("--grid", type=_resolution, metavar="N", help=f"additionally probe free points k/N, 2 <= N <= {MAX_GRID}")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("characterize", help="closed-form answer for 4-6 candidates")
-    add_common(p)
+    add_common(p, svg=True)
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("bipositional", help="symmetric two-cluster equilibria (even m)")
-    add_common(p)
+    add_common(p, svg=True)
     p.set_defaults(func=_cmd_bipositional)
 
     p = sub.add_parser("multipositional", help="evenly clustered equilibria for zero-tailed rules")
-    add_common(p)
+    add_common(p, svg=True)
     p.add_argument("--q", type=int, required=True, help="number of positions")
     p.add_argument("--r", type=int, required=True, help="candidates per position")
     p.set_defaults(func=_cmd_multipositional)
@@ -513,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, rule=False)
     p.add_argument("--csv", action="store_true", help="CSV output, one row per rule")
     p.add_argument("--rules-file", required=True, help="one rule per line, '#' comments allowed")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_scan)
 
     return parser
@@ -550,8 +548,6 @@ def main(argv=None) -> int:
     try:
         code, document = args.func(args)
     except ScorelineError as exc:
-        from .errors import InternalVerificationError
-
         if isinstance(exc, InternalVerificationError):
             print(f"internal verification failure: {exc}", file=sys.stderr)
             return EXIT_INTERNAL

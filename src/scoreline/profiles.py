@@ -184,7 +184,10 @@ _last_table: tuple[tuple, ScoreTable] | None = None
 
 def score_table(scores: tuple[Fraction, ...]) -> ScoreTable:
     """The :class:`ScoreTable` of a score vector.  The last one is kept and
-    handed back for the same or an equal vector."""
+    handed back for the same or an equal vector: each search canonicalises
+    a new rule object, so repeated searches of one rule (one per
+    ``cli.main`` call) find its table, and the score forms memoised on it,
+    only by equality."""
     global _last_table
     cached = _last_table
     if cached is not None and (cached[0] is scores or cached[0] == scores):

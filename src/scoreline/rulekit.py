@@ -71,10 +71,6 @@ class ScoringRule:
     def mean(self) -> Fraction:
         return Fraction(sum(self.scores), self.m)
 
-    def score(self, rank: int) -> Fraction:
-        """Score awarded to the candidate ranked ``rank`` (1-based)."""
-        return self.scores[rank - 1]
-
     def __str__(self) -> str:
         return "(" + ",".join(str(s) for s in self.scores) + ")"
 

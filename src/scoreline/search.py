@@ -23,8 +23,6 @@ limit scores and the score from joining the cluster outright.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -124,8 +122,9 @@ def _compositions(m: int, pruner) -> Iterator[TypeOutcome]:
 
 # Score forms of the last rule an LP was built for, keyed on (counts,
 # idx), with the score table they were read from.  ``score_table`` hands
-# back the same table for an equal score vector, so a worker process that
-# is sent a new rule object with every type still reuses the forms.
+# back the same table for an equal score vector, so repeated searches of
+# one rule, each of which canonicalises a new rule object (as every
+# ``cli.main`` call does), still reuse the forms.
 _forms: tuple[ScoreTable, dict] | None = None
 
 
@@ -208,7 +207,6 @@ def build_deviation_lp(rule: ScoringRule, ctype: ClusterType) -> LinearProgram:
 class SearchOptions:
     prune: bool = True
     include_single_cluster: bool = False
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -260,11 +258,6 @@ def _solve_type(rule: ScoringRule, entry: TypeOutcome) -> TypeOutcome:
     return TypeOutcome(entry.ctype, False, (), outcome, gap, witness, True)
 
 
-def _worker(payload) -> TypeOutcome:
-    scores, entry = payload
-    return _solve_type(ScoringRule(scores), entry)
-
-
 def require_searchable(m: int) -> None:
     """Raise TooManyCandidatesError when m is above MAX_M."""
     if m > MAX_M:
@@ -291,30 +284,13 @@ def find_ncne(rule: ScoringRule, options: SearchOptions | None = None) -> Search
     require_searchable(rule.m)
     canon = canonicalize(rule)
     pruner = _make_pruner(canon) if opts.prune else None
-    entries = (
-        e
-        for e in enumerate_cluster_types(canon.m, pruner)
-        if opts.include_single_cluster or e.ctype.q >= 2
-    )
-    # Only the types that need an LP go to worker processes; a pruned
-    # outcome is built here in less time than it takes to send it.
-    solved = None
-    jobs = max(1, int(opts.jobs))
-    if jobs > 1:
-        entries = list(entries)
-        todo = [e for e in entries if not e.pruned]
-        if len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-                solved = iter(list(pool.map(_worker, [(canon.scores, e) for e in todo])))
-
     checked: list[TypeOutcome] = []
     ncne: list[ClusterType] = []
-    for entry in entries:
-        # Enumeration order is (q, parts) order, which reports keep.
-        if solved is not None and not entry.pruned:
-            out = next(solved)
-        else:
-            out = _solve_type(canon, entry)
+    # Enumeration order is (q, parts) order, which reports keep.
+    for entry in enumerate_cluster_types(canon.m, pruner):
+        if entry.ctype.q < 2 and not opts.include_single_cluster:
+            continue
+        out = _solve_type(canon, entry)
         if out.is_equilibrium:
             report = verify_mod.verify_profile(canon, out.witness)
             if report.status is not verify_mod.Status.EQUILIBRIUM:

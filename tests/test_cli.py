@@ -258,9 +258,24 @@ def test_unknown_command_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_jobs_flag(capsys):
-    doc = run_json(capsys, "find-ncne", "--rule", "1,0,0,0", "--jobs", "2")
-    assert doc["result"]["ncne_types"] == [[2, 2]]
+@pytest.mark.parametrize(
+    "command, flag",
+    [("find-ncne", "--jobs"), ("scan", "--jobs")]
+    + [(command, "--svg") for command in ("classify", "cne", "bounds", "scan")],
+)
+def test_removed_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    """The search runs in one process, so there is no ``--jobs``; ``--svg``
+    belongs only to the commands that have a profile to draw."""
+    rules = tmp_path / "rules.txt"
+    rules.write_text("1,0,0,0\n")
+    where = ["--rules-file", str(rules)] if command == "scan" else ["--rule", "1,0,0,0"]
+    path = tmp_path / "diagram.svg"
+    value = str(path) if flag == "--svg" else "2"
+    code, out, err = run(capsys, command, *where, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+    assert not path.exists()
 
 
 def _spawn(argv, stdout):
@@ -315,13 +330,6 @@ def test_search_calls_builder_and_solver_by_module_name(monkeypatch, capsys):
     monkeypatch.setattr(search, "solve", counting("solve", search.solve))
     run_json(capsys, "find-ncne", "--no-prune", "--rule", "3,1,1,1,1,0")
     assert calls == {"build": 31, "solve": 31}
-
-
-def test_jobs_output_is_byte_identical(capsys):
-    argv = ["find-ncne", "--no-prune", "--rule", "3,1,1,1,1,1,1,0"]
-    code, serial, _ = run(capsys, *argv, "--jobs", "1")
-    assert code == 0
-    assert run(capsys, *argv, "--jobs", "2") == (0, serial, "")
 
 
 @pytest.mark.parametrize("m", [search.MAX_M + 1, 40, 2000])
@@ -475,8 +483,6 @@ def _argv(draw):
     if command in ("find-ncne", "scan"):
         argv += draw(st.sets(st.sampled_from(["--csv", "--no-prune", "--include-cne"]))
                      if command == "find-ncne" else st.sets(st.just("--csv")))
-        if draw(st.booleans()):
-            argv += ["--jobs", draw(st.sampled_from(["1", "0", "-3", "x"]))]
     if command == "verify":
         if draw(st.booleans()):
             argv[-1], profile = draw(_rule_and_profile())

@@ -250,43 +250,6 @@ def test_all_witnesses_pass_oracle():
             assert all(0 < p < 1 for p in witness.positions)
 
 
-def test_parallel_jobs_deterministic():
-    rule = parse_rule("3,1,1,1,1,1,1,0")
-    seq = find_ncne(rule)
-    par = find_ncne(rule, SearchOptions(jobs=2))
-    pruned = [o.pruned for o in seq.outcomes]
-    assert any(pruned) and not all(pruned)
-    assert seq.ncne_types == par.ncne_types
-    assert list(seq.outcomes) == list(par.outcomes)
-
-
-def test_pool_receives_only_unpruned_types(monkeypatch):
-    """Pruned outcomes are built in-process; only LP types are sent."""
-    sent = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            payloads = list(payloads)
-            sent.extend(entry for _, entry in payloads)
-            return map(fn, payloads)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-    rule = parse_rule("3,1,1,1,1,1,1,0")
-    par = find_ncne(rule, SearchOptions(jobs=2))
-    assert list(par.outcomes) == list(find_ncne(rule).outcomes)
-    assert [e.ctype for e in sent] == [o.ctype for o in par.outcomes if not o.pruned]
-    assert sent and not any(e.pruned for e in sent)
-
-
 def test_search_refuses_m_above_limit(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
@@ -392,8 +355,9 @@ def test_builder_rows_match_fraction_reference():
 
 
 def test_score_forms_are_reused_for_an_equal_rule_object():
-    """A --jobs worker gets a new rule object with every type; equal scores
-    must still find the forms memoised for the last rule."""
+    """Each search canonicalises a new rule object (as every ``cli.main``
+    call does), so repeated searches of one rule find the forms memoised
+    for it only through equal scores."""
     scores = canonicalize(parse_rule("3,1,1,1,1,0")).scores
     build_deviation_lp(ScoringRule(scores), ClusterType((2, 2, 2)))
     memo = search._forms
